@@ -34,10 +34,9 @@ from .errors import (
     GTTError,
     LengthMismatch,
     NotUnitary,
-    ZeroVector,
 )
 from .protocols import compress_fully_quantum, compress_hybrid, filter_natural
-from .signals import builtin_signal
+from .signals import _normalized, builtin_signal
 
 _ANGLE_TOKENS = {
     "pi": math.pi,
@@ -63,11 +62,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _complex_pairs(data, ndim: int, path: str) -> np.ndarray:
+    """Complex array of rank ``ndim`` from JSON nested lists of [re, im]."""
+    try:
+        arr = np.array(data)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape[ndim:] != (2,):
+        depth = "rows of " * (ndim - 1)
+        raise BadShape(f"{path}: expected a list of {depth}[re, im] number pairs")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+
+
 def read_vector(path: str) -> np.ndarray:
     if path.endswith(".json"):
         with open(path) as fh:
-            pairs = json.load(fh)
-        return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+            return _complex_pairs(json.load(fh), 1, path)
     entries = []
     with open(path) as fh:
         for line in fh:
@@ -108,11 +118,7 @@ def read_matrix(path: str) -> np.ndarray:
     2b interleaved re,im values."""
     if path.endswith(".json"):
         with open(path) as fh:
-            rows = json.load(fh)
-        return np.array(
-            [[complex(re, im) for re, im in row] for row in rows],
-            dtype=np.complex128,
-        )
+            return _complex_pairs(json.load(fh), 2, path)
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -150,15 +156,8 @@ def _load_signal(spec: str) -> np.ndarray:
     return read_vector(spec)
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ZeroVector("input vector is zero")
-    return v / nrm
-
-
 def _write_json(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if path is None:
         sys.stdout.write(text + "\n")
     else:

@@ -3,10 +3,10 @@
 Compression transforms a unit-norm state, keeps the k largest spectral
 coefficients, renormalizes, and inverse-transforms; the fully quantum
 variant reproduces the same result by simulating the flag/transfer circuit
-on the joint register statevector, with measurement replaced by branch
-projection and probability bookkeeping.  Filtering splits the spectrum at
-a natural-order cutoff into two unnormalized branches whose energies sum
-to one.
+on the support of the joint register statevector (O(N + k) memory), with
+measurement replaced by branch projection and probability bookkeeping.
+Filtering splits the spectrum at a natural-order cutoff into two
+unnormalized branches whose energies sum to one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ NORM_TOL = 1e-9
 def _check_unit(v, name: str = "state") -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not np.isfinite(nrm) or abs(nrm - 1.0) > NORM_TOL:
         raise NotNormalized(f"{name} must have unit norm, got {nrm!r}")
     return v
 
@@ -150,46 +150,64 @@ def compress_fully_quantum(
 ) -> QuantumSimOutcome:
     """Simulate the flag-and-transfer compression circuit exactly.
 
-    Joint registers: the original N-dimensional register, a 2-level ancilla
-    flag, and a k-dimensional compressed register.  The selection oracle
-    flips the ancilla on retained indices, a controlled map moves flagged
-    amplitudes to the compressed register (uncomputing the original), and
-    post-selecting ancilla = 1 is performed deterministically with the
-    branch weight reported as the success probability.
+    Joint registers: the original N-dimensional register y, a 2-level
+    ancilla flag a, and a k-dimensional compressed register c.  The
+    selection oracle flips the ancilla on retained indices, a controlled
+    map moves flagged amplitudes to the compressed register (uncomputing
+    the original), and post-selecting a = 1 is performed deterministically
+    with the branch weight reported as the success probability.
+
+    The joint state |y, a, c> is held by its support: one coordinate triple
+    (Y, A, C) and one amplitude per nonzero entry, at most N entries.  Both
+    gates permute basis states, so each is one vectorized update of the
+    coordinates, and the simulation takes O(N + k) memory rather than the
+    O(N k) of a dense joint statevector.
     """
     state = _check_unit(state)
     if state.shape[0] != op.N:
         raise LengthMismatch(f"state length {state.shape[0]} != N = {op.N}")
-    idx = list(selection.indices)
-    if len(idx) == 0 or idx != sorted(set(idx)) or idx[0] < 0 or idx[-1] >= op.N:
+    idx = np.asarray(selection.indices)
+    if (
+        idx.ndim != 1
+        or idx.size == 0
+        or idx.dtype.kind not in "iu"
+        or np.any(np.diff(idx) <= 0)
+        or idx[0] < 0
+        or idx[-1] >= op.N
+    ):
         raise BadSelection("selection indices invalid for this operator")
-    k = len(idx)
+    k = idx.size
 
-    # joint[y, a, c] with y the original register, a the ancilla, c the
-    # compressed register (rank map f sends the j-th smallest index to j)
-    joint = np.zeros((op.N, 2, k), dtype=np.complex128)
-    joint[:, 0, 0] = gtt_apply(op, state)
+    # support of |spectrum>|0>|0>; the rank map sends the j-th smallest
+    # retained index to compressed slot j
+    amp = gtt_apply(op, state)
+    Y = np.arange(op.N)
+    A = np.zeros(op.N, dtype=np.uint8)
+    C = np.zeros(op.N, dtype=np.intp)
 
     # oracle: flip the ancilla where the original register is in the set
-    for y in idx:
-        joint[y, 1, :], joint[y, 0, :] = joint[y, 0, :].copy(), joint[y, 1, :].copy()
+    rank = np.minimum(np.searchsorted(idx, Y), k - 1)
+    hit = idx[rank] == Y
+    A ^= hit
 
     # controlled transfer: |y_j, 1, 0> -> |0, 1, j>
-    for j, y in enumerate(idx):
-        amp = joint[y, 1, 0]
-        joint[y, 1, 0] = 0.0
-        joint[0, 1, j] += amp
+    moved = (A == 1) & (C == 0)
+    C[moved] = rank[moved]
+    Y[moved] = 0
 
-    success = float(np.sum(np.abs(joint[:, 1, :]) ** 2))
+    # post-select the ancilla-1 branch
+    kept = A == 1
+    success = float(np.sum(np.abs(amp[kept]) ** 2))
     if success <= 0.0:
         raise EmptySelection("ancilla-1 branch has zero weight; process failed")
-    branch = joint[:, 1, :] / np.sqrt(success)
-    transmitted = branch[0, :].copy()
+    out = kept & (Y == 0)
+    transmitted = np.zeros(k, dtype=np.complex128)
+    np.add.at(transmitted, C[out], amp[out])
+    transmitted /= np.sqrt(success)
 
     # decode: expand |j> back to |y_j> and invert the transform
     decoded = np.zeros(op.N, dtype=np.complex128)
-    for j, y in enumerate(idx):
-        decoded[y] = transmitted[j]
+    decoded[idx] = transmitted
     reconstructed = gtt_inverse_apply(op, decoded)
     return QuantumSimOutcome(success, transmitted, reconstructed)
 

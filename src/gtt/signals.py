@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, ZeroVector
 
 _S1 = [
     0.693 - 0.048j, -0.373 + 0.083j, -0.373 + 0.083j, -0.258 - 0.107j,
@@ -41,7 +41,10 @@ def perturbed_polynomial(x: float) -> float:
 
 def _normalized(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
-    return v / np.linalg.norm(v)
+    nrm = np.linalg.norm(v)
+    if nrm == 0.0:
+        raise ZeroVector("input vector is zero")
+    return v / nrm
 
 
 def builtin_signal(name: str) -> np.ndarray:

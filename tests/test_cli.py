@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gtt.cli import main, parse_angle, read_vector, write_vector
+from gtt import BadShape
+from gtt.cli import main, parse_angle, read_matrix, read_vector, write_vector
 
 
 def write_csv(path, values):
@@ -96,6 +97,39 @@ def test_bad_argument_exit_code(tmp_path):
     src = str(tmp_path / "v.csv")
     write_csv(src, [1.0, 0.0])
     assert main(["transform", src, "--base", "u3:nonsense", "--n", "1"]) == 2
+
+
+def test_nan_state_exit_code(tmp_path, capsys):
+    src = str(tmp_path / "nan.csv")
+    write_csv(src, [float("nan"), 0.0])
+    args = ["compress", src, "--base", "hadamard", "--n", "1", "--k", "1",
+            "--mode", "quantum"]
+    assert main(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "text", ["[1, 2, 3, 4]", "[[1, 0], [0]]", '[["a", 0]]', "[[1, null]]", "[]"]
+)
+def test_malformed_json_vector(tmp_path, text):
+    src = tmp_path / "v.json"
+    src.write_text(text)
+    with pytest.raises(BadShape):
+        read_vector(str(src))
+    assert main(["transform", str(src), "--base", "hadamard", "--n", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text", ["[[1, 0], [0, 1]]", "[[[1, 0], [0, 0]], [[0, 0]]]", "[1, 0]"]
+)
+def test_malformed_json_matrix(tmp_path, text):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(text)
+    with pytest.raises(BadShape):
+        read_matrix(str(mfile))
+    src = str(tmp_path / "v.csv")
+    write_csv(src, [1.0, 0.0])
+    assert main(["transform", src, "--base", str(mfile), "--n", "1"]) == 2
 
 
 def test_compress_report(tmp_path):

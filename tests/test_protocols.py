@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from gtt import (
     GTTOperator,
     LengthMismatch,
     NotNormalized,
+    SparseSelection,
     builtin_signal,
     compress_fully_quantum,
     compress_hybrid,
+    dft_matrix,
     fidelity,
     filter_natural,
     gtt_apply,
@@ -168,6 +171,51 @@ class TestFullyQuantum:
         bad = GTTOperator(hadamard(), 1)
         with pytest.raises((BadSelection, LengthMismatch)):
             compress_fully_quantum(state, bad, sel)
+
+
+class TestFullyQuantumSupport:
+    U3 = u3(math.pi / 4, math.pi / 3, math.pi / 6)
+
+    @pytest.mark.parametrize(
+        "W, n, k", [(U3, 14, 1024), (dft_matrix(3), 8, 410)], ids=["u3-2^14", "dft3-3^8"]
+    )
+    def test_matches_hybrid_at_benchmark_scale(self, W, n, k):
+        op = GTTOperator(W, n)
+        state = random_state(np.random.default_rng(20), op.N)
+        hybrid = compress_hybrid(state, op, k)
+        outcome = compress_fully_quantum(state, op, hybrid.selection)
+        assert np.max(np.abs(outcome.transmitted - hybrid.compressed)) < 1e-12
+        assert np.max(np.abs(outcome.reconstructed - hybrid.reconstructed)) < 1e-12
+        assert abs(outcome.success_probability - hybrid.selection.mass) < 1e-12
+
+    def test_selection_with_index_zero(self):
+        # the flagged |0, 1, 0> entry is already in slot 0 of the transfer target
+        rng = np.random.default_rng(22)
+        state = random_state(rng, 8)
+        spectrum = gtt_apply(OP414, state)
+        sel = make_selection([0, 4, 6], spectrum)
+        outcome = compress_fully_quantum(state, OP414, sel)
+        expect = spectrum[[0, 4, 6]] / sel.normalizer
+        assert np.max(np.abs(outcome.transmitted - expect)) < 1e-12
+        assert abs(outcome.success_probability - sel.mass) < 1e-12
+
+    @pytest.mark.parametrize("indices", [(), (3, 1), (2, 2), (0.0, 1.0), (-1, 2)])
+    def test_malformed_selection(self, indices):
+        with pytest.raises(BadSelection):
+            compress_fully_quantum(builtin_signal("s1"), OP414, SparseSelection(indices, 1.0))
+
+    def test_memory_linear_in_n(self):
+        op = GTTOperator(self.U3, 14)
+        state = random_state(np.random.default_rng(24), op.N)
+        sel = top_k_indices(gtt_apply(op, state), op.N // 16)
+        tracemalloc.start()
+        try:
+            compress_fully_quantum(state, op, sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense (N, 2, k) register alone would take 512 MB here
+        assert peak < 16 * op.N * 16
 
 
 class TestReconstructFromClassical:
