@@ -23,7 +23,8 @@ print("u3(pi/4, pi/3, pi/6):\n", u3(np.pi / 4, np.pi / 3, np.pi / 6))
 print("3-point DFT:\n", dft_matrix(3))
 
 # An operator is a base matrix plus a tensor power. Applying it to a vector
-# of length b**n runs the butterfly algorithm, one digit position at a time.
+# of length b**n runs the blocked fast algorithm: each pass applies several
+# digit positions at once as one product with a Kronecker power of the base.
 op = GTTOperator(u3(np.pi / 4, np.pi / 3, np.pi / 6), 3)
 x = np.zeros(8)
 x[0] = 1.0
@@ -41,7 +42,8 @@ print("round-trip max diff:", np.max(np.abs(gtt_inverse_apply(op, gtt_apply(op, 
 print("\nG[5, 3] closed form:", gtt_element(op, 5, 3))
 print("G[5, 3] from dense: ", dense[5, 3])
 
-# The instrumented counter shows the N*b*log_b(N) work scaling.
+# The instrumented counter shows the N*b*log_b(N) work scaling; a counted
+# call runs one digit position per pass, the arithmetic it reports.
 counter = OpCounter()
 big = GTTOperator(hadamard(), 16)
 gtt_apply(big, rng.standard_normal(big.N), counter)

@@ -2,9 +2,11 @@
 
 The transform acts on vectors of length N = b**n as the n-fold Kronecker
 power of a b x b unitary W, with the first tensor factor acting on the
-most-significant base-b digit of the index.  A butterfly-style fast path
-applies W once per digit position, costing O(N * b * log_b N) arithmetic
-instead of the O(N**2) dense product.
+most-significant base-b digit of the index.  The fast path works in blocked
+passes: each pass applies m digit levels at once as one matrix product with
+the Kronecker power W^{(x)m} (b**m <= 16), costing O(N * b**m * n / m)
+arithmetic instead of the O(N**2) dense product.  Calls that count their
+arithmetic run one level per pass, N * b multiplies per level.
 """
 
 from __future__ import annotations
@@ -21,20 +23,23 @@ UNITARITY_TOL = 1e-10
 
 DEFAULT_DENSE_CAP = 4096
 
+# largest Kronecker-power dimension b**m applied in one blocked pass
+MAX_BLOCK = 16
+
 
 def _dense_cap() -> int:
     return int(os.environ.get("GTT_DENSE_CAP", DEFAULT_DENSE_CAP))
 
 
 def make_base_matrix(b: int, entries) -> np.ndarray:
-    """Validate and return a b x b unitary base matrix as a complex array.
+    """Validate and return a b x b unitary base matrix as a read-only copy.
 
     Raises BadShape for wrong dimensions or non-finite entries, NotUnitary
     when max|W^H W - I| exceeds 1e-10.
     """
     if b < 2:
         raise BadShape(f"base dimension must be >= 2, got {b}")
-    W = np.asarray(entries, dtype=np.complex128)
+    W = np.array(entries, dtype=np.complex128)
     if W.shape != (b, b):
         raise BadShape(f"expected a {b}x{b} matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -81,22 +86,57 @@ def dft_matrix(b: int) -> np.ndarray:
     return make_base_matrix(b, F)
 
 
+def _kron_power(W: np.ndarray, m: int) -> np.ndarray:
+    """W tensored m times, built by broadcast outer products."""
+    P = W
+    for _ in range(m - 1):
+        B = P.shape[0] * W.shape[0]
+        P = (P[:, None, :, None] * W[None, :, None, :]).reshape(B, B)
+    return P
+
+
+def _block_depth(b: int) -> int:
+    """Largest m >= 1 with b**m <= MAX_BLOCK."""
+    m = 1
+    while b ** (m + 1) <= MAX_BLOCK:
+        m += 1
+    return m
+
+
 @dataclass(frozen=True)
 class GTTOperator:
-    """A base matrix together with its tensor power n; N = b**n."""
+    """A base matrix together with its tensor power n; N = b**n.
+
+    The base is validated like ``make_base_matrix`` (square, finite,
+    unitary).  ``_passes`` holds the Kronecker powers the blocked transform
+    applies, least-significant levels first: n // m powers W^{(x)m}, then
+    one W^{(x)r} for the r = n % m leftover levels.
+    """
 
     base: np.ndarray
     n: int
     N: int = field(init=False)
+    _passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = self.base.shape[0]
+        base = np.asarray(self.base)
+        if base.ndim != 2 or base.shape[0] != base.shape[1]:
+            raise BadShape(f"base must be a square matrix, got shape {base.shape}")
+        base = make_base_matrix(base.shape[0], base)
+        object.__setattr__(self, "base", base)
+        b = base.shape[0]
         if self.n < 1:
             raise BadShape(f"tensor power must be >= 1, got {self.n}")
         N = b**self.n
         if N > np.iinfo(np.intp).max:
             raise TooLarge(f"b**n = {b}**{self.n} exceeds the index range")
         object.__setattr__(self, "N", int(N))
+        m = min(_block_depth(b), self.n)
+        q, r = divmod(self.n, m)
+        passes = (_kron_power(base, m),) * q
+        if r:
+            passes += (_kron_power(base, r),)
+        object.__setattr__(self, "_passes", passes)
 
     @property
     def b(self) -> int:
@@ -104,7 +144,7 @@ class GTTOperator:
 
     def conj(self) -> "GTTOperator":
         """Operator built from the conjugate transpose of the base matrix."""
-        return GTTOperator(make_base_matrix(self.b, self.base.conj().T), self.n)
+        return GTTOperator(self.base.conj().T, self.n)
 
 
 class OpCounter:
@@ -126,36 +166,47 @@ def _check_vector(op: GTTOperator, x) -> np.ndarray:
     return x
 
 
-def _fast_apply(W: np.ndarray, x: np.ndarray, n: int, counter: OpCounter | None) -> np.ndarray:
-    """Butterfly application of W tensored n times.
+def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+    """Blocked application of the tensor product of ``passes``.
 
-    Level-by-level equivalent of the recursive reshape/multiply/recurse
-    procedure: W is applied to the least-significant digit first, then to
-    each more significant digit in turn.
+    Each pass applies a B x B matrix P (a Kronecker power of the base) to
+    the next log_b B digit levels, least-significant first.  With ``done``
+    the dimension of the levels already applied, the vector viewed as
+    (-1, B, done) has those levels on its last axis and the pass's levels
+    on its middle one, so the pass is one ``matmul``; the first pass, with
+    done = 1, is a single 2-D product.  The result is contiguous and in
+    natural order.  A pass costs N * B multiplies and N * (B - 1) adds.
     """
-    b = W.shape[0]
-    N = b**n
-    T = x.reshape((b,) * n)
-    # axis n-1 is the least-significant digit; the recursion transforms it
-    # first, then recurses on the leading digits.
-    for axis in range(n - 1, -1, -1):
-        T = np.moveaxis(np.tensordot(W, T, axes=(1, axis)), 0, axis)
+    N = x.shape[0]
+    done = 1
+    for P in passes:
+        B = P.shape[0]
+        if done == 1:
+            x = x.reshape(-1, B) @ P.T
+        else:
+            x = np.matmul(P, x.reshape(-1, B, done))
+        done *= B
         if counter is not None:
-            counter.mults += N * b
-            counter.adds += N * (b - 1)
-    return T.reshape(N)
+            counter.mults += N * B
+            counter.adds += N * (B - 1)
+    return x.reshape(N)
+
+
+def _plan(op: GTTOperator, counter: OpCounter | None) -> tuple:
+    # counted calls run one level per pass, the radix-b arithmetic
+    return op._passes if counter is None else (op.base,) * op.n
 
 
 def gtt_apply(op: GTTOperator, x, counter: OpCounter | None = None) -> np.ndarray:
-    """Compute y = (W tensor n) x via the fast butterfly algorithm."""
+    """Compute y = (W tensor n) x via the fast blocked algorithm."""
     x = _check_vector(op, x)
-    return _fast_apply(op.base, x, op.n, counter)
+    return _fast_apply(_plan(op, counter), x, counter)
 
 
 def gtt_inverse_apply(op: GTTOperator, y, counter: OpCounter | None = None) -> np.ndarray:
     """Compute (W^H tensor n) y, inverting gtt_apply."""
     y = _check_vector(op, y)
-    return _fast_apply(op.base.conj().T, y, op.n, counter)
+    return _fast_apply([P.conj().T for P in _plan(op, counter)], y, counter)
 
 
 def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
@@ -167,10 +218,7 @@ def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
     cap = _dense_cap()
     if op.N > cap:
         raise TooLarge(f"N = {op.N} exceeds the dense cap {cap}")
-    G = op.base
-    for _ in range(op.n - 1):
-        G = np.kron(G, op.base)
-    return G
+    return _kron_power(op.base, op.n)
 
 
 def digit_counts(op: GTTOperator, p: int, q: int) -> np.ndarray:

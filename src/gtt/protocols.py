@@ -28,6 +28,9 @@ from .errors import (
 
 NORM_TOL = 1e-9
 
+# magnitudes this close (relative) to the k-th largest count as tied with it
+TIE_RTOL = 1e-12
+
 
 def _check_unit(v, name: str = "state") -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
@@ -78,13 +81,22 @@ def make_selection(indices: Sequence[int], spectrum) -> SparseSelection:
 
 
 def top_k_indices(spectrum, k: int) -> SparseSelection:
-    """Select the k largest-magnitude coefficients, ties toward smaller index."""
+    """Select the k largest-magnitude coefficients, ties toward smaller index.
+
+    Magnitudes within a relative TIE_RTOL of the k-th largest are tied, so
+    rounding in the last bits does not decide between them; the slots left
+    after the strictly larger ones go to the tied band's smallest indices.
+    """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     N = spectrum.shape[0]
     if not 1 <= k <= N:
         raise BadK(f"k must lie in [1, {N}], got {k}")
-    order = np.argsort(-np.abs(spectrum), kind="stable")
-    return make_selection(order[:k], spectrum)
+    mag = np.abs(spectrum)
+    kth = np.partition(mag, N - k)[N - k]
+    tol = TIE_RTOL * kth
+    larger = np.flatnonzero(mag > kth + tol)
+    tied = np.flatnonzero(np.abs(mag - kth) <= tol)
+    return make_selection(np.concatenate([larger, tied[: k - larger.size]]), spectrum)
 
 
 @dataclass(frozen=True)

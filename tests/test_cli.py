@@ -132,6 +132,32 @@ def test_malformed_json_matrix(tmp_path, text):
     assert main(["transform", src, "--base", str(mfile), "--n", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "name,text",
+    [("v.csv", "nan,0\n1,0\n"), ("v.csv", "1,0\ninf\n"),
+     ("v.json", "[[NaN, 0], [1, 0]]"), ("v.json", "[[1, 0], [0, -Infinity]]")],
+)
+def test_non_finite_vector_rejected(tmp_path, capsys, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    with pytest.raises(BadShape):
+        read_vector(str(src))
+    assert main(["transform", str(src), "--base", "hadamard", "--n", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [("m.csv", "nan,0,0,0\n0,0,1,0\n"),
+     ("m.json", "[[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]")],
+)
+def test_non_finite_matrix_rejected(tmp_path, name, text):
+    mfile = tmp_path / name
+    mfile.write_text(text)
+    with pytest.raises(BadShape):
+        read_matrix(str(mfile))
+
+
 def test_compress_report(tmp_path):
     out = str(tmp_path / "report.json")
     rc = main(

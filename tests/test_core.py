@@ -104,6 +104,19 @@ class TestOperator:
         y = gtt_apply(op.conj(), gtt_apply(op, x))
         assert np.max(np.abs(y - x)) < 1e-12
 
+    def test_non_unitary_base_rejected(self):
+        with pytest.raises(NotUnitary):
+            GTTOperator(np.ones((2, 2)), 3)
+
+    def test_non_square_base_rejected(self):
+        with pytest.raises(BadShape):
+            GTTOperator(np.ones((2, 3)) / math.sqrt(3.0), 2)
+
+    def test_caller_base_left_writable(self):
+        W = random_unitary(np.random.default_rng(4), 2)
+        GTTOperator(W, 2)
+        W[0, 0] = W[0, 0]
+
 
 class TestApply:
     def test_unit_vector_hadamard(self):
@@ -136,6 +149,39 @@ class TestApply:
         op = GTTOperator(u3(1.2, 0.4, 2.2), 5)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         assert abs(np.linalg.norm(gtt_apply(op, x)) - np.linalg.norm(x)) < 1e-12
+
+
+# largest m with b**m <= 16: the levels one blocked pass applies
+BLOCK_DEPTH = {2: 4, 3: 2, 4: 2, 5: 1, 8: 1}
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize(
+        "b,n", [(b, n) for b, m in BLOCK_DEPTH.items() for n in range(1, 2 * m + 2)]
+    )
+    def test_matches_kron_oracle(self, b, n):
+        # n < m, n = m, and every remainder length n % m
+        rng = np.random.default_rng(100 * b + n)
+        W = random_unitary(rng, b)
+        op = GTTOperator(W, n)
+        G = kron_power(W, n)
+        x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+        for fast, dense in ((gtt_apply, G), (gtt_inverse_apply, G.conj().T)):
+            y = fast(op, x)
+            assert np.max(np.abs(y - dense @ x)) < 1e-12
+            assert np.max(np.abs(fast(op, x, OpCounter()) - y)) < 1e-12
+
+    @pytest.mark.parametrize("b,n", [(2, 7), (3, 5)])
+    def test_real_integer_and_strided_inputs(self, b, n):
+        rng = np.random.default_rng(b + n)
+        W = random_unitary(rng, b)
+        op = GTTOperator(W, n)
+        G = kron_power(W, n)
+        wide = rng.standard_normal(2 * op.N) + 1j * rng.standard_normal(2 * op.N)
+        inputs = (rng.standard_normal(op.N), rng.integers(-5, 6, op.N), wide[::2])
+        for x in inputs:
+            for fast, dense in ((gtt_apply, G), (gtt_inverse_apply, G.conj().T)):
+                assert np.max(np.abs(fast(op, x) - dense @ x)) < 1e-12
 
 
 class TestInverseApply:

@@ -15,6 +15,7 @@ from gtt import (
     gtt_element,
     gtt_inverse_apply,
     make_base_matrix,
+    top_k_indices,
     u3,
 )
 
@@ -100,3 +101,18 @@ def test_truncation_fidelity_equals_mass(seed):
     k = int(rng.integers(1, 9))
     r = compress_hybrid(x, op, k)
     assert abs(r.fidelity - r.selection.mass) < 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_top_k_ties_independent_of_rounding(seed, N):
+    # exact ties in magnitude, blurred in the last bits by the random phases
+    # and then by 1e-15 relative noise, must still break toward smaller index
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 4, N)
+    spectrum = levels * np.exp(2j * np.pi * rng.random(N))
+    noisy = spectrum * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, N))
+    k = int(rng.integers(1, N + 1))
+    expected = tuple(sorted(sorted(range(N), key=lambda i: (-levels[i], i))[:k]))
+    assert top_k_indices(spectrum, k).indices == expected
+    assert top_k_indices(noisy, k).indices == expected
