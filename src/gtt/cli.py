@@ -257,13 +257,15 @@ def cmd_bench(args) -> int:
             n = int(n_str)
             op = GTTOperator(W, n)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
-            # counted calls run one level per pass; time an uncounted call,
-            # the blocked kernel that callers get
+            # counted calls run one level per pass; time uncounted calls,
+            # the blocked kernel that callers get, as the median of five
             counter = OpCounter()
             gtt_apply(op, x, counter)
-            t0 = time.perf_counter()
-            gtt_apply(op, x)
-            elapsed = time.perf_counter() - t0
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                gtt_apply(op, x)
+                times.append(time.perf_counter() - t0)
             bound = 4 * op.N * b * n
             rows.append(
                 {
@@ -276,7 +278,7 @@ def cmd_bench(args) -> int:
                     "total": counter.total,
                     "bound": bound,
                     "within_bound": counter.total <= bound,
-                    "seconds": elapsed,
+                    "seconds": float(np.median(times)),
                 }
             )
     _write_json({"results": rows}, args.out)

@@ -5,8 +5,12 @@ power of a b x b unitary W, with the first tensor factor acting on the
 most-significant base-b digit of the index.  The fast path works in blocked
 passes: each pass applies m digit levels at once as one matrix product with
 the Kronecker power W^{(x)m} (b**m <= 16), costing O(N * b**m * n / m)
-arithmetic instead of the O(N**2) dense product.  Calls that count their
-arithmetic run one level per pass, N * b multiplies per level.
+arithmetic instead of the O(N**2) dense product.  The passes are
+self-sorting: each is a single gemm that also moves its levels to the back
+of the index, so the last pass leaves the result in natural order.  Vectors
+longer than TILE elements run their low-digit passes tile by tile in cache.
+Calls that count their arithmetic run one level per pass (N * b multiplies
+per level) through the same kernel.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ DEFAULT_DENSE_CAP = 4096
 
 # largest Kronecker-power dimension b**m applied in one blocked pass
 MAX_BLOCK = 16
+
+# elements (1 MiB of complex128) that the leading passes of a long vector
+# span; they run tile by tile so each tile stays in cache
+TILE = 2**16
 
 
 def _dense_cap() -> int:
@@ -108,15 +116,19 @@ class GTTOperator:
     """A base matrix together with its tensor power n; N = b**n.
 
     The base is validated like ``make_base_matrix`` (square, finite,
-    unitary).  ``_passes`` holds the Kronecker powers the blocked transform
-    applies, least-significant levels first: n // m powers W^{(x)m}, then
-    one W^{(x)r} for the r = n % m leftover levels.
+    unitary).  The blocked transform applies Kronecker powers of the base,
+    least-significant levels first: n // m powers W^{(x)m}, then one
+    W^{(x)r} for the r = n % m leftover levels.  The kernel multiplies by
+    them from the right, so ``_passes`` holds their transposes,
+    (W^T)^{(x)m}, and ``_inverse_passes`` those of the inverse's powers,
+    conj(W^{(x)m}).
     """
 
     base: np.ndarray
     n: int
     N: int = field(init=False)
     _passes: tuple = field(init=False, repr=False, compare=False)
+    _inverse_passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = np.asarray(self.base)
@@ -133,10 +145,11 @@ class GTTOperator:
         object.__setattr__(self, "N", int(N))
         m = min(_block_depth(b), self.n)
         q, r = divmod(self.n, m)
-        passes = (_kron_power(base, m),) * q
+        passes = (_kron_power(base.T, m),) * q
         if r:
-            passes += (_kron_power(base, r),)
+            passes += (_kron_power(base.T, r),)
         object.__setattr__(self, "_passes", passes)
+        object.__setattr__(self, "_inverse_passes", tuple(R.conj().T for R in passes))
 
     @property
     def b(self) -> int:
@@ -160,53 +173,91 @@ class OpCounter:
 
 
 def _check_vector(op: GTTOperator, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
+    # contiguous, so a strided input cannot drop matmul off BLAS
+    x = np.ascontiguousarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.shape[0] != op.N:
         raise LengthMismatch(f"expected a length-{op.N} vector, got shape {x.shape}")
     return x
 
 
 def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
-    """Blocked application of the tensor product of ``passes``.
+    """Blocked application of the tensor product of the passes' matrices.
 
     Each pass applies a B x B matrix P (a Kronecker power of the base) to
-    the next log_b B digit levels, least-significant first.  With ``done``
-    the dimension of the levels already applied, the vector viewed as
-    (-1, B, done) has those levels on its last axis and the pass's levels
-    on its middle one, so the pass is one ``matmul``; the first pass, with
-    done = 1, is a single 2-D product.  The result is contiguous and in
-    natural order.  A pass costs N * B multiplies and N * (B - 1) adds.
+    log_b B digit levels; ``passes`` holds the transposes R = P^T,
+    least-significant levels first.  A pass is the single self-sorting
+    product x.reshape(B, -1).T @ R (BLAS reads the transposed operand
+    through its trans flag): it applies P to the most-significant levels
+    and moves them to the back of the index.  So the passes run in reverse,
+    and after the last one every level is back in its place.
+
+    Vectors of at most TILE elements run every pass over the whole vector,
+    each pass allocating its result (reused buffers measured slower).
+    Longer ones are cut into tiles of T <= TILE elements: the leading
+    passes, whose levels span T, act only within a contiguous tile.  The
+    passes left (one or two in a blocked plan) act on the high digits and
+    run first, over the whole vector, each as a ``matmul`` over
+    (-1, B, done) with ``done`` >= T the dimension of the levels below, a
+    few large stacked products; the last one lands in the result.  Then
+    the tiles run one by one in cache, each writing its last pass in place
+    in the result.
+
+    The result is contiguous, in natural order, and shares no memory with
+    ``x``.  A pass costs N * B multiplies and N * (B - 1) adds.
     """
     N = x.shape[0]
-    done = 1
-    for P in passes:
-        B = P.shape[0]
-        if done == 1:
-            x = x.reshape(-1, B) @ P.T
-        else:
-            x = np.matmul(P, x.reshape(-1, B, done))
-        done *= B
-        if counter is not None:
+    if counter is not None:
+        for R in passes:
+            B = R.shape[0]
             counter.mults += N * B
             counter.adds += N * (B - 1)
-    return x.reshape(N)
+    if N <= TILE:
+        for R in reversed(passes):
+            x = x.reshape(R.shape[0], -1).T @ R
+        return x.reshape(N)
+    T, lead = passes[0].shape[0], 1
+    while T * passes[lead].shape[0] <= TILE:
+        T *= passes[lead].shape[0]
+        lead += 1
+    head, tail = passes[:lead], passes[lead:]
+    res = np.empty(N, dtype=np.complex128)
+    # alternate so that the last high-digit pass lands in ``res``
+    bufs = [res, np.empty(N, dtype=np.complex128)] if len(tail) > 1 else [res]
+    done = T
+    for i, R in enumerate(tail):
+        B = R.shape[0]
+        dst = bufs[(len(tail) - 1 - i) % 2]
+        np.matmul(R.T, x.reshape(-1, B, done), out=dst.reshape(-1, B, done))
+        x = dst
+        done *= B
+    # a single pass spanning a tile (b > 256) overlaps ``out`` with its
+    # operand, which numpy buffers
+    for row in res.reshape(-1, T):
+        y = row
+        for R in reversed(head[1:]):
+            y = y.reshape(R.shape[0], -1).T @ R
+        B = head[0].shape[0]
+        np.matmul(y.reshape(B, -1).T, head[0], out=row.reshape(-1, B))
+    return res
 
 
-def _plan(op: GTTOperator, counter: OpCounter | None) -> tuple:
+def _plan(op: GTTOperator, counter: OpCounter | None, inverse: bool) -> tuple:
+    if counter is None:
+        return op._inverse_passes if inverse else op._passes
     # counted calls run one level per pass, the radix-b arithmetic
-    return op._passes if counter is None else (op.base,) * op.n
+    return (op.base.conj() if inverse else op.base.T,) * op.n
 
 
 def gtt_apply(op: GTTOperator, x, counter: OpCounter | None = None) -> np.ndarray:
     """Compute y = (W tensor n) x via the fast blocked algorithm."""
     x = _check_vector(op, x)
-    return _fast_apply(_plan(op, counter), x, counter)
+    return _fast_apply(_plan(op, counter, False), x, counter)
 
 
 def gtt_inverse_apply(op: GTTOperator, y, counter: OpCounter | None = None) -> np.ndarray:
     """Compute (W^H tensor n) y, inverting gtt_apply."""
     y = _check_vector(op, y)
-    return _fast_apply([P.conj().T for P in _plan(op, counter)], y, counter)
+    return _fast_apply(_plan(op, counter, True), y, counter)
 
 
 def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:

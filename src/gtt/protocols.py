@@ -71,13 +71,16 @@ def make_selection(indices: Sequence[int], spectrum) -> SparseSelection:
     """Build a selection over explicit indices, computing the retained mass."""
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     N = spectrum.shape[0]
-    idx = sorted(int(i) for i in indices)
-    if len(idx) == 0 or len(idx) != len(set(idx)):
-        raise BadSelection("indices must be non-empty and distinct")
+    # np.sort, not np.unique: the first np.unique call of a process adds
+    # over 1 MB of resident memory
+    raw = np.asarray(indices).astype(np.intp)
+    idx = np.sort(raw, axis=None)
+    if raw.ndim != 1 or idx.size == 0 or np.any(idx[1:] == idx[:-1]):
+        raise BadSelection("indices must be a non-empty list of distinct integers")
     if idx[0] < 0 or idx[-1] >= N:
         raise BadSelection(f"indices must lie in [0, {N})")
     mass = float(np.sum(np.abs(spectrum[idx]) ** 2))
-    return SparseSelection(tuple(idx), mass)
+    return SparseSelection(tuple(idx.tolist()), mass)
 
 
 def top_k_indices(spectrum, k: int) -> SparseSelection:
@@ -121,7 +124,7 @@ def compress_hybrid(state, op: GTTOperator, k: int) -> CompressionResult:
 def _finish_compression(state, spectrum, selection, op) -> CompressionResult:
     if selection.mass <= 0.0:
         raise EmptySelection("retained spectral mass is zero")
-    idx = list(selection.indices)
+    idx = np.array(selection.indices, dtype=np.intp)
     compressed = spectrum[idx] / selection.normalizer
     truncated = np.zeros_like(spectrum)
     truncated[idx] = compressed
@@ -146,7 +149,7 @@ def reconstruct_from_classical(
             f"expected {selection.k} amplitudes, got {compressed.shape[0]}"
         )
     full = np.zeros(op.N, dtype=np.complex128)
-    full[list(selection.indices)] = compressed
+    full[np.array(selection.indices, dtype=np.intp)] = compressed
     return gtt_inverse_apply(op, full)
 
 

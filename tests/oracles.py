@@ -16,6 +16,16 @@ def kron_power(W, n):
     return G
 
 
+def apply_by_axes(W, n, x):
+    """(W tensored n times) x, as one tensordot per axis of the (b,)*n tensor;
+    axis 0 is the most-significant digit."""
+    b = W.shape[0]
+    t = np.asarray(x, dtype=np.complex128).reshape((b,) * n)
+    for axis in range(n):
+        t = np.moveaxis(np.tensordot(W, t, axes=([1], [axis])), 0, axis)
+    return t.reshape(-1)
+
+
 def fwht_natural(x):
     """Textbook in-place fast Walsh-Hadamard transform, natural order,
     normalized by 1/sqrt(2) per stage."""

@@ -22,7 +22,13 @@ from gtt import (
     u3,
 )
 
-from oracles import element_by_digits, fwht_natural, kron_power, random_unitary
+from oracles import (
+    apply_by_axes,
+    element_by_digits,
+    fwht_natural,
+    kron_power,
+    random_unitary,
+)
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -182,6 +188,34 @@ class TestBlockedKernel:
         for x in inputs:
             for fast, dense in ((gtt_apply, G), (gtt_inverse_apply, G.conj().T)):
                 assert np.max(np.abs(fast(op, x) - dense @ x)) < 1e-12
+
+
+class TestTiledKernel:
+    # N > 2**16 runs in cache tiles plus one or two high-digit passes; these
+    # cover a remainder pass among those passes, and one and two of them
+    @pytest.mark.parametrize(
+        "b,n", [(2, 17), (2, 19), (2, 21), (3, 11), (4, 9), (5, 8), (8, 6)]
+    )
+    def test_matches_axis_oracle(self, b, n):
+        rng = np.random.default_rng(1000 + 10 * b + n)
+        W = random_unitary(rng, b)
+        op = GTTOperator(W, n)
+        x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+        for fast, base in ((gtt_apply, W), (gtt_inverse_apply, W.conj().T)):
+            y = fast(op, x)
+            assert np.max(np.abs(y - apply_by_axes(base, n, x))) < 1e-12
+            assert np.max(np.abs(fast(op, x, OpCounter()) - y)) < 1e-12
+
+    @pytest.mark.parametrize("n", [12, 17])
+    def test_input_untouched_and_unshared(self, n):
+        rng = np.random.default_rng(n)
+        op = GTTOperator(random_unitary(rng, 2), n)
+        x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+        keep = x.copy()
+        for fast in (gtt_apply, gtt_inverse_apply):
+            y = fast(op, x)
+            assert np.array_equal(x, keep)
+            assert not np.shares_memory(x, y)
 
 
 class TestInverseApply:

@@ -91,6 +91,38 @@ class TestTopK:
         assert abs(sel.normalizer - 0.8) < 1e-12
 
 
+class TestMakeSelection:
+    SPECTRUM = np.arange(1, 9) / np.linalg.norm(np.arange(1, 9))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [1, 3, 1],
+            [-1, 2],
+            [2, 8],
+            [],
+            np.array([], dtype=np.intp),
+            [[0, 1], [2, 3]],
+            3,
+        ],
+    )
+    def test_bad_indices_rejected(self, indices):
+        with pytest.raises(BadSelection):
+            make_selection(indices, self.SPECTRUM)
+
+    def test_unsorted_input_sorted(self):
+        sel = make_selection([5, 0, 3], self.SPECTRUM)
+        assert sel.indices == (0, 3, 5)
+        assert all(type(i) is int for i in sel.indices)
+        assert abs(sel.mass - np.sum(self.SPECTRUM[[0, 3, 5]] ** 2)) < 1e-15
+
+    def test_list_and_array_agree(self):
+        indices = [6, 2, 7]
+        assert make_selection(indices, self.SPECTRUM) == make_selection(
+            np.array(indices), self.SPECTRUM
+        )
+
+
 class TestCompressHybrid:
     def test_s1_near_perfect(self):
         r = compress_hybrid(builtin_signal("s1"), OP414, 2)
