@@ -31,7 +31,8 @@ DEFAULT_DENSE_CAP = 4096
 MAX_BLOCK = 16
 
 # elements (1 MiB of complex128) that the leading passes of a long vector
-# span; they run tile by tile so each tile stays in cache
+# span; they run tile by tile so each tile stays in cache, and only the
+# high-digit passes allocate vector-sized results
 TILE = 2**16
 
 
@@ -198,9 +199,8 @@ def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     passes left (one or two in a blocked plan) act on the high digits and
     run first, over the whole vector, each as a ``matmul`` over
     (-1, B, done) with ``done`` >= T the dimension of the levels below, a
-    few large stacked products; the last one lands in the result.  Then
-    the tiles run one by one in cache, each writing its last pass in place
-    in the result.
+    few large stacked products.  Then the tiles run one by one in cache,
+    each writing its last pass in place into the result of those passes.
 
     The result is contiguous, in natural order, and shares no memory with
     ``x``.  A pass costs N * B multiplies and N * (B - 1) adds.
@@ -220,25 +220,20 @@ def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
         T *= passes[lead].shape[0]
         lead += 1
     head, tail = passes[:lead], passes[lead:]
-    res = np.empty(N, dtype=np.complex128)
-    # alternate so that the last high-digit pass lands in ``res``
-    bufs = [res, np.empty(N, dtype=np.complex128)] if len(tail) > 1 else [res]
     done = T
-    for i, R in enumerate(tail):
+    for R in tail:
         B = R.shape[0]
-        dst = bufs[(len(tail) - 1 - i) % 2]
-        np.matmul(R.T, x.reshape(-1, B, done), out=dst.reshape(-1, B, done))
-        x = dst
+        x = np.matmul(R.T, x.reshape(-1, B, done)).reshape(N)
         done *= B
     # a single pass spanning a tile (b > 256) overlaps ``out`` with its
     # operand, which numpy buffers
-    for row in res.reshape(-1, T):
+    B = head[0].shape[0]
+    for row in x.reshape(-1, T):
         y = row
         for R in reversed(head[1:]):
             y = y.reshape(R.shape[0], -1).T @ R
-        B = head[0].shape[0]
         np.matmul(y.reshape(B, -1).T, head[0], out=row.reshape(-1, B))
-    return res
+    return x
 
 
 def _plan(op: GTTOperator, counter: OpCounter | None, inverse: bool) -> tuple:

@@ -12,7 +12,7 @@ unnormalized branches whose energies sum to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -67,13 +67,22 @@ class SparseSelection:
         return float(np.sqrt(self.mass))
 
 
-def make_selection(indices: Sequence[int], spectrum) -> SparseSelection:
+def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
     """Build a selection over explicit indices, computing the retained mass."""
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     N = spectrum.shape[0]
+    try:
+        if isinstance(indices, np.ndarray):
+            raw = indices.astype(np.intp)
+        else:
+            # any iterable of integers: a list, a set, a generator
+            raw = np.fromiter((int(i) for i in indices), dtype=np.intp)
+    except OverflowError:
+        raise BadSelection(f"indices must lie in [0, {N})") from None
+    except TypeError:
+        raise BadSelection("indices must be a non-empty list of distinct integers") from None
     # np.sort, not np.unique: the first np.unique call of a process adds
     # over 1 MB of resident memory
-    raw = np.asarray(indices).astype(np.intp)
     idx = np.sort(raw, axis=None)
     if raw.ndim != 1 or idx.size == 0 or np.any(idx[1:] == idx[:-1]):
         raise BadSelection("indices must be a non-empty list of distinct integers")

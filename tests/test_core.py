@@ -191,10 +191,11 @@ class TestBlockedKernel:
 
 
 class TestTiledKernel:
-    # N > 2**16 runs in cache tiles plus one or two high-digit passes; these
-    # cover a remainder pass among those passes, and one and two of them
+    # N > 2**16 runs in cache tiles after one or two high-digit passes; these
+    # cover a remainder pass among those passes, one and two of them, and a
+    # tile of one pass (b > 256), whose last write overlaps its operand
     @pytest.mark.parametrize(
-        "b,n", [(2, 17), (2, 19), (2, 21), (3, 11), (4, 9), (5, 8), (8, 6)]
+        "b,n", [(2, 17), (2, 19), (2, 21), (3, 11), (4, 9), (5, 8), (8, 6), (257, 2)]
     )
     def test_matches_axis_oracle(self, b, n):
         rng = np.random.default_rng(1000 + 10 * b + n)

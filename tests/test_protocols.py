@@ -104,6 +104,9 @@ class TestMakeSelection:
             np.array([], dtype=np.intp),
             [[0, 1], [2, 3]],
             3,
+            [2**70],
+            [-(2**70)],
+            np.array([2**70]),
         ],
     )
     def test_bad_indices_rejected(self, indices):
@@ -121,6 +124,11 @@ class TestMakeSelection:
         assert make_selection(indices, self.SPECTRUM) == make_selection(
             np.array(indices), self.SPECTRUM
         )
+
+    def test_set_and_generator_accepted(self):
+        expected = make_selection([2, 6, 7], self.SPECTRUM)
+        assert make_selection({6, 2, 7}, self.SPECTRUM) == expected
+        assert make_selection((i for i in (7, 2, 6)), self.SPECTRUM) == expected
 
 
 class TestCompressHybrid:
