@@ -9,12 +9,11 @@ subinterval midpoints recovers the tensor-power transform matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GTTOperator, dense_gtt_matrix
+from .core import GTTOperator, dense_gtt_matrix, gtt_apply, gtt_inverse_apply
 from .errors import BadSampleCount, DomainError, IndexOutOfRange
 
 # Guard for floor(b*x) when repeated scaling leaves b*x a hair below an
@@ -22,14 +21,23 @@ from .errors import BadSampleCount, DomainError, IndexOutOfRange
 _FLOOR_GUARD = 1e-12
 
 
-def _digit_and_frac(b: int, x: float) -> tuple[int, float]:
-    bx = b * x
-    d = math.floor(bx)
-    if d + 1 - bx < _FLOOR_GUARD:
-        d += 1
-    if d >= b:
-        d = b - 1
-    return d, bx - d
+def _digits(b: int, n: int, x) -> np.ndarray:
+    """The first n base-b digits of x in [0, 1), most significant first.
+
+    ``x`` is a scalar or an array; the result has shape (n,) + x.shape.
+    Each digit is clipped to [0, b - 1], so a point a hair below a
+    subinterval boundary lands on one of the two adjacent subintervals.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    digits = np.empty((n,) + x.shape, dtype=np.intp)
+    for level in range(n):
+        bx = b * x
+        d = np.floor(bx)
+        d += (d + 1 - bx) < _FLOOR_GUARD
+        d = np.minimum(np.maximum(d, 0), b - 1)
+        digits[level] = d
+        x = bx - d
+    return digits
 
 
 def eval_basis(op: GTTOperator, j: int, x: float) -> complex:
@@ -38,16 +46,9 @@ def eval_basis(op: GTTOperator, j: int, x: float) -> complex:
         raise DomainError(f"x must lie in [0, 1), got {x}")
     if not 0 <= j < op.N:
         raise IndexOutOfRange(f"basis index must lie in [0, {op.N}), got {j}")
-    b = op.b
-    W = op.base
-    value = 1.0 + 0.0j
-    scale = op.N // b
-    for _ in range(op.n):
-        row, x = _digit_and_frac(b, x)
-        col, j = divmod(j, scale)
-        value *= W[row, col]
-        scale //= b
-    return value
+    rows = _digits(op.b, op.n, x)
+    cols = np.unravel_index(j, (op.b,) * op.n)
+    return complex(np.prod(op.base[rows, cols]))
 
 
 def eval_normalized_basis(op: GTTOperator, j: int, x: float) -> complex:
@@ -63,11 +64,11 @@ def sample_matrix(op: GTTOperator) -> np.ndarray:
     """
     N = op.N
     dense_gtt_matrix(op)  # reuse the size-cap check
-    xs = (2 * np.arange(N) + 1) / (2 * N)
-    G = np.empty((N, N), dtype=np.complex128)
-    for q in range(N):
-        for p in range(N):
-            G[p, q] = eval_basis(op, q, xs[p])
+    rows = _digits(op.b, op.n, (2 * np.arange(N) + 1) / (2 * N))
+    cols = np.unravel_index(np.arange(N), (op.b,) * op.n)
+    G = np.ones((N, N), dtype=np.complex128)
+    for r, c in zip(rows, cols):
+        G *= op.base[r[:, None], c[None, :]]
     return G
 
 
@@ -93,12 +94,12 @@ def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
             f"need a multiple of N={N} midpoint samples, got shape {g.shape}"
         )
     M = g.shape[0]
-    # phi_m is constant on each base subinterval, so group the M samples
-    # into the N subintervals and weight by the sampled basis matrix.
-    scale = op.b ** (op.n / 2.0)
-    Phi = scale * dense_gtt_matrix(op)  # Phi[p, m] = phi_m on subinterval p
+    # phi_m is constant on each base subinterval, where it equals
+    # b**(n/2) times column m of the transform matrix; so the coefficients
+    # are the inverse transform of the per-subinterval sums
     block_sums = g.reshape(N, M // N).sum(axis=1)
-    return SeriesExpansion(op, (Phi.conj().T @ block_sums) / M)
+    scale = op.b ** (op.n / 2.0) / M
+    return SeriesExpansion(op, scale * gtt_inverse_apply(op, block_sums))
 
 
 def series_reconstruct(exp: SeriesExpansion, x: float) -> complex:
@@ -109,7 +110,7 @@ def series_reconstruct(exp: SeriesExpansion, x: float) -> complex:
         raise BadSampleCount(f"expected {op.N} coefficients, got shape {C.shape}")
     if not 0.0 <= x < 1.0:
         raise DomainError(f"x must lie in [0, 1), got {x}")
-    total = 0.0 + 0.0j
-    for m in range(op.N):
-        total += C[m] * eval_normalized_basis(op, m, x)
-    return total
+    # phi_m is b**(n/2) times column m of the transform matrix on the
+    # subinterval p holding x, so the sum is entry p of the transform of C
+    p = np.ravel_multi_index(tuple(_digits(op.b, op.n, x)), (op.b,) * op.n)
+    return complex(op.b ** (op.n / 2.0) * gtt_apply(op, C)[p])

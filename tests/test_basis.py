@@ -10,6 +10,7 @@ from gtt import (
     IndexOutOfRange,
     dense_gtt_matrix,
     eval_basis,
+    gtt_apply,
     eval_normalized_basis,
     hadamard,
     make_base_matrix,
@@ -65,6 +66,21 @@ class TestEvalBasis:
             eval_basis(op, 0, 1.0)
         with pytest.raises(IndexOutOfRange):
             eval_basis(op, 4, 0.5)
+
+    @pytest.mark.parametrize("b, n", [(2, 12), (3, 7), (5, 5)])
+    @pytest.mark.parametrize("eps", [1e-14, 1e-13])
+    def test_point_below_boundary_on_adjacent_subinterval(self, b, n, eps):
+        # a hair below t/N the rounding guard may round either way, but a
+        # digit must never fall outside [0, b)
+        rng = np.random.default_rng(37)
+        W = make_base_matrix(b, random_unitary(rng, b))
+        op = GTTOperator(W, n)
+        N = op.N
+        j = N - 1
+        column = kron_power(W, n)[:, j]
+        for t in range(1, N):
+            v = eval_basis(op, j, t / N - eps)
+            assert min(abs(v - column[t - 1]), abs(v - column[t])) < 1e-12, t
 
     def test_walsh_values(self):
         op = GTTOperator(hadamard(), 3)
@@ -161,6 +177,56 @@ class TestSeries:
         op = GTTOperator(hadamard(), 2)
         exp = series_coefficients(op, np.zeros(4))
         assert abs(series_reconstruct(exp, 0.5)) < 1e-12
+
+
+class TestSeriesFastTransform:
+    @pytest.mark.parametrize(
+        "b, n, per", [(2, 3, 1), (2, 13, 1), (2, 13, 2), (3, 8, 1), (5, 3, 4)]
+    )
+    def test_round_trip_and_parseval(self, b, n, per):
+        # N = 2^13 and 3^8 are above the dense cap: the expansion needs
+        # no N x N matrix
+        rng = np.random.default_rng(41)
+        W = make_base_matrix(b, random_unitary(rng, b))
+        op = GTTOperator(W, n)
+        N = op.N
+        g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        exp = series_coefficients(op, np.repeat(g, per))
+        C = exp.coefficients
+        assert C.shape == (N,)
+        # Parseval: sum |C_m|^2 is the mean square of g over [0, 1)
+        assert abs(np.sum(np.abs(C) ** 2) - np.mean(np.abs(g) ** 2)) < 1e-10
+        back = b ** (n / 2.0) * gtt_apply(op, C)
+        assert np.max(np.abs(back - g)) < 1e-10
+        for t in rng.choice(N, size=min(N, 40), replace=False):
+            x = (2 * t + 1) / (2 * N)
+            assert abs(series_reconstruct(exp, x) - g[t]) < 1e-10
+
+    @pytest.mark.parametrize("b, n", [(2, 4), (3, 3), (5, 2)])
+    def test_reconstruct_matches_basis_sum(self, b, n):
+        rng = np.random.default_rng(43)
+        W = make_base_matrix(b, random_unitary(rng, b))
+        op = GTTOperator(W, n)
+        N = op.N
+        exp = series_coefficients(
+            op, rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
+        )
+        C = exp.coefficients
+        xs = list(np.arange(N) / N) + list(rng.random(10))
+        for x in xs:
+            oracle = sum(C[m] * eval_normalized_basis(op, m, x) for m in range(N))
+            assert abs(series_reconstruct(exp, x) - oracle) < 1e-12, x
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-13])
+    def test_reconstruct_below_boundary(self, eps):
+        rng = np.random.default_rng(47)
+        op = GTTOperator(make_base_matrix(2, random_unitary(rng, 2)), 10)
+        N = op.N
+        g = rng.standard_normal(N)
+        exp = series_coefficients(op, g)
+        for t in range(1, N):
+            v = series_reconstruct(exp, t / N - eps)
+            assert min(abs(v - g[t - 1]), abs(v - g[t])) < 1e-10, t
 
 
 def test_sampling_equals_dense_everywhere():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from gtt import (
     ZeroVector,
     builtin_signal,
     compare_transforms,
+    compress_hybrid,
+    dft_matrix,
     discretize_midpoints,
     encode_fidelity,
     gtt_inverse_apply,
@@ -128,3 +131,28 @@ class TestCompareTransforms:
     def test_optimized_path(self):
         report = compare_transforms(builtin_signal("s1"), 2)
         assert report.gtt_fidelity >= report.hadamard_fidelity - 1e-9
+
+    @pytest.mark.parametrize(
+        "N, k", [(8, 1), (8, 3), (16, 8), (64, 5), (64, 63), (256, 16), (256, 200)]
+    )
+    def test_dft_column_matches_dense_oracle(self, N, k):
+        # the dense N-point DFT as a one-level operator is the oracle
+        rng = np.random.default_rng(N + k)
+        s = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        s /= np.linalg.norm(s)
+        report = compare_transforms(s, k, params=(0.4, 0.0, math.pi))
+        oracle = compress_hybrid(s, GTTOperator(dft_matrix(N), 1), k).fidelity
+        assert abs(report.dft_fidelity - oracle) < 1e-12
+
+    def test_dft_column_memory_is_linear(self):
+        # a dense 1024-point DFT column would allocate 16 MiB per matrix
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal(1024)
+        x /= np.linalg.norm(x)
+        tracemalloc.start()
+        try:
+            compare_transforms(x, 16, params=(math.pi / 4, 0.0, math.pi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
