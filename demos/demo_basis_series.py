@@ -20,7 +20,7 @@ np.set_printoptions(precision=3, suppress=True)
 # natural order: piecewise +-(1/sqrt 2)^n on N uniform subintervals.
 op = GTTOperator(hadamard(), 3)
 xs = (2 * np.arange(8) + 1) / 16
-walsh = np.array([[eval_basis(op, j, x).real for x in xs] for j in range(8)])
+walsh = eval_basis(op, np.arange(8)[:, None], xs).real
 print("Walsh table (rows = j, columns = subintervals):")
 print(np.sign(walsh).astype(int))
 
@@ -36,9 +36,9 @@ print("\nsampled matrix unitarity error:",
 g = np.array([1.0, 2.0, -1.0, 0.5])
 exp = series_coefficients(tuned, g)
 print("\ncoefficients:", exp.coefficients)
-for t in range(4):
-    x = (2 * t + 1) / 8
-    print(f"  g({x:.3f}) = {g[t]:+.3f}  reconstructed {series_reconstruct(exp, x).real:+.3f}")
+mids = (2 * np.arange(4) + 1) / 8
+for x, gt, rt in zip(mids, g, series_reconstruct(exp, mids).real):
+    print(f"  g({x:.3f}) = {gt:+.3f}  reconstructed {rt:+.3f}")
 
 # Smooth functions get a quadrature approximation that sharpens as the
 # sample count grows (here 4N midpoints instead of N).

@@ -2,9 +2,15 @@
 
 The order-N basis function with index j is a product of base-matrix entries
 selected by the base-b digits of j and of the evaluation point; it is
-constant on each of the N uniform subintervals.  Scaling by b**(n/2) makes
-the family orthonormal in L2[0,1), and sampling the unscaled functions at
-subinterval midpoints recovers the tensor-power transform matrix.
+constant on each of the N uniform subintervals, so f_j(x) is the transform
+matrix element G[p, j] with p = floor(N x) the subinterval holding x.
+Scaling by b**(n/2) makes the family orthonormal in L2[0,1), and sampling
+the unscaled functions at subinterval midpoints recovers the transform
+matrix.
+
+Points and indices may be scalars or arrays: ``eval_basis`` broadcasts j
+against x, and ``series_reconstruct`` evaluates any number of points with
+one forward transform per call.  Scalar inputs give a Python complex.
 """
 
 from __future__ import annotations
@@ -13,45 +19,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GTTOperator, dense_gtt_matrix, gtt_apply, gtt_inverse_apply
-from .errors import BadSampleCount, DomainError, IndexOutOfRange
+from .core import (
+    GTTOperator,
+    dense_gtt_matrix,
+    gtt_apply,
+    gtt_element,
+    gtt_inverse_apply,
+)
+from .errors import BadSampleCount, BadShape, DomainError
 
-# Guard for floor(b*x) when repeated scaling leaves b*x a hair below an
-# integer (dyadic/triadic rationals accumulate representation error).
+# Guard for floor(N*x) when the product N*x lands a hair below an integer
+# (dyadic/triadic rationals carry representation error).
 _FLOOR_GUARD = 1e-12
 
 
-def _digits(b: int, n: int, x) -> np.ndarray:
-    """The first n base-b digits of x in [0, 1), most significant first.
+def _subinterval(N: int, x) -> np.ndarray:
+    """Index p = floor(N*x) of the subinterval holding each point of [0, 1).
 
-    ``x`` is a scalar or an array; the result has shape (n,) + x.shape.
-    Each digit is clipped to [0, b - 1], so a point a hair below a
-    subinterval boundary lands on one of the two adjacent subintervals.
+    Raises DomainError for a point outside [0, 1), NaN included.  The
+    index is clipped to [0, N - 1], so a point a hair below a subinterval
+    boundary lands on one of the two adjacent subintervals.
     """
     x = np.asarray(x, dtype=np.float64)
-    digits = np.empty((n,) + x.shape, dtype=np.intp)
-    for level in range(n):
-        bx = b * x
-        d = np.floor(bx)
-        d += (d + 1 - bx) < _FLOOR_GUARD
-        d = np.minimum(np.maximum(d, 0), b - 1)
-        digits[level] = d
-        x = bx - d
-    return digits
+    bad = ~((0 <= x) & (x < 1))
+    if bad.any():
+        raise DomainError(f"x must lie in [0, 1), got {x[bad][0]}")
+    Nx = N * x
+    p = np.floor(Nx)
+    p += (p + 1 - Nx) < _FLOOR_GUARD
+    return np.minimum(p.astype(np.intp), N - 1)
 
 
-def eval_basis(op: GTTOperator, j: int, x: float) -> complex:
-    """Evaluate the unnormalized basis function f_j at x in [0, 1)."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"x must lie in [0, 1), got {x}")
-    if not 0 <= j < op.N:
-        raise IndexOutOfRange(f"basis index must lie in [0, {op.N}), got {j}")
-    rows = _digits(op.b, op.n, x)
-    cols = np.unravel_index(j, (op.b,) * op.n)
-    return complex(np.prod(op.base[rows, cols]))
+def eval_basis(op: GTTOperator, j, x):
+    """Evaluate the unnormalized basis function f_j at x in [0, 1).
+
+    ``j`` and ``x`` broadcast against each other; a scalar pair gives a
+    complex, arrays give an array.
+    """
+    return gtt_element(op, _subinterval(op.N, x), j)
 
 
-def eval_normalized_basis(op: GTTOperator, j: int, x: float) -> complex:
+def eval_normalized_basis(op: GTTOperator, j, x):
     """Orthonormal variant: b**(n/2) * f_j(x)."""
     return op.b ** (op.n / 2.0) * eval_basis(op, j, x)
 
@@ -64,12 +72,8 @@ def sample_matrix(op: GTTOperator) -> np.ndarray:
     """
     N = op.N
     dense_gtt_matrix(op)  # reuse the size-cap check
-    rows = _digits(op.b, op.n, (2 * np.arange(N) + 1) / (2 * N))
-    cols = np.unravel_index(np.arange(N), (op.b,) * op.n)
-    G = np.ones((N, N), dtype=np.complex128)
-    for r, c in zip(rows, cols):
-        G *= op.base[r[:, None], c[None, :]]
-    return G
+    midpoints = (2 * np.arange(N) + 1) / (2 * N)
+    return eval_basis(op, np.arange(N), midpoints[:, None])
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,8 @@ def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
         raise BadSampleCount(
             f"need a multiple of N={N} midpoint samples, got shape {g.shape}"
         )
+    if not np.all(np.isfinite(g)):
+        raise BadShape("samples must be finite")
     M = g.shape[0]
     # phi_m is constant on each base subinterval, where it equals
     # b**(n/2) times column m of the transform matrix; so the coefficients
@@ -102,15 +108,14 @@ def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
     return SeriesExpansion(op, scale * gtt_inverse_apply(op, block_sums))
 
 
-def series_reconstruct(exp: SeriesExpansion, x: float) -> complex:
-    """Evaluate sum_m C_m phi_m(x) at a point of [0, 1)."""
+def series_reconstruct(exp: SeriesExpansion, x):
+    """Evaluate sum_m C_m phi_m(x) at a point, or an array of points, of [0, 1)."""
     op = exp.op
     C = np.asarray(exp.coefficients, dtype=np.complex128)
     if C.shape != (op.N,):
         raise BadSampleCount(f"expected {op.N} coefficients, got shape {C.shape}")
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"x must lie in [0, 1), got {x}")
+    p = _subinterval(op.N, x)
     # phi_m is b**(n/2) times column m of the transform matrix on the
     # subinterval p holding x, so the sum is entry p of the transform of C
-    p = np.ravel_multi_index(tuple(_digits(op.b, op.n, x)), (op.b,) * op.n)
-    return complex(op.b ** (op.n / 2.0) * gtt_apply(op, C)[p])
+    v = op.b ** (op.n / 2.0) * gtt_apply(op, C)[p]
+    return complex(v) if v.ndim == 0 else v

@@ -267,24 +267,47 @@ def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
     return _kron_power(op.base, op.n)
 
 
+def _indices(N: int, i) -> np.ndarray:
+    """``i`` as intp, checked to hold only integers in [0, N)."""
+    i = np.asarray(i)
+    if i.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"indices must be integers, got dtype {i.dtype}")
+    bad = (i < 0) | (i >= N)
+    if bad.any():
+        raise IndexOutOfRange(f"indices must lie in [0, {N}), got {i[bad][0]}")
+    return i.astype(np.intp, copy=False)
+
+
+def _index_digits(op: GTTOperator, i) -> tuple:
+    """The n base-b digits of validated indices, most significant first."""
+    return np.unravel_index(_indices(op.N, i), (op.b,) * op.n)
+
+
 def digit_counts(op: GTTOperator, p: int, q: int) -> np.ndarray:
     """b x b table counting how often digit pair (i, j) occurs in (p, q).
 
     Digits are read position by position from the base-b expansions; the
     counts over all pairs sum to n.
     """
-    if not (0 <= p < op.N and 0 <= q < op.N):
-        raise IndexOutOfRange(f"indices must lie in [0, {op.N}), got ({p}, {q})")
     b = op.b
-    alpha = np.zeros((b, b), dtype=np.int64)
-    for _ in range(op.n):
-        alpha[p % b, q % b] += 1
-        p //= b
-        q //= b
-    return alpha
+    pairs = np.multiply(_index_digits(op, p), b) + _index_digits(op, q)
+    return np.bincount(pairs.ravel(), minlength=b * b).reshape(b, b)
 
 
-def gtt_element(op: GTTOperator, p: int, q: int) -> complex:
-    """Closed-form matrix element: product of W[p_k, q_k] over digit positions."""
-    alpha = digit_counts(op, p, q)
-    return complex(np.prod(op.base**alpha))
+def gtt_element(op: GTTOperator, p, q):
+    """Closed-form matrix element: product of W[p_k, q_k] over digit positions.
+
+    ``p`` and ``q`` are integer indices or arrays of them, broadcast against
+    each other; a scalar pair gives a complex, arrays give an array.
+    """
+    rows, cols = _index_digits(op, p), _index_digits(op, q)
+    try:
+        v = op.base[rows[0], cols[0]]
+    except IndexError:  # the digits are in range, so only the shapes clash
+        raise BadShape(
+            f"index shapes {rows[0].shape} and {cols[0].shape} do not broadcast"
+        ) from None
+    # in place, so at most two broadcast-sized arrays are alive
+    for r, c in zip(rows[1:], cols[1:]):
+        v *= op.base[r, c]
+    return complex(v) if v.ndim == 0 else v

@@ -52,6 +52,8 @@ def discretize_midpoints(f: Callable[[float], float], N: int) -> np.ndarray:
         raise BadShape(f"N must be positive, got {N}")
     xs = (2 * np.arange(N) + 1) / (2 * N)
     v = np.array([f(x) for x in xs], dtype=np.complex128)
+    if not np.all(np.isfinite(v)):
+        raise BadShape("f must be finite at every midpoint")
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ZeroVector("all midpoint samples are zero")
@@ -59,7 +61,10 @@ def discretize_midpoints(f: Callable[[float], float], N: int) -> np.ndarray:
 
 
 def _qubit_count(signal) -> int:
-    N = np.asarray(signal).shape[0]
+    shape = np.shape(signal)
+    if len(shape) != 1 or shape[0] < 1:
+        raise BadShape(f"signal must be a non-empty vector, got shape {shape}")
+    N = shape[0]
     n = int(round(math.log2(N)))
     if 2**n != N:
         raise BadShape(f"signal length {N} is not a power of 2")
