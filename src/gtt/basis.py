@@ -19,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+# dense_gtt_matrix stays imported: the benchmark's traced run wraps
+# basis.dense_gtt_matrix
+from .core import (  # noqa: F401
     GTTOperator,
+    _check_dense_cap,
     dense_gtt_matrix,
     gtt_apply,
     gtt_element,
@@ -70,8 +73,8 @@ def sample_matrix(op: GTTOperator) -> np.ndarray:
     G[p, q] = f_q((2p+1) / (2N)); unitary, and equal to the dense tensor
     power of the base matrix.
     """
+    _check_dense_cap(op)
     N = op.N
-    dense_gtt_matrix(op)  # reuse the size-cap check
     midpoints = (2 * np.arange(N) + 1) / (2 * N)
     return eval_basis(op, np.arange(N), midpoints[:, None])
 

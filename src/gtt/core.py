@@ -16,6 +16,7 @@ per level) through the same kernel.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -36,8 +37,16 @@ MAX_BLOCK = 16
 TILE = 2**16
 
 
-def _dense_cap() -> int:
-    return int(os.environ.get("GTT_DENSE_CAP", DEFAULT_DENSE_CAP))
+def _integer(value, lo: int, hi: float, error: type, name: str) -> int:
+    """``value`` as an int, raising ``error`` unless it is an integer in [lo, hi]."""
+    if not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise error(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
+
+
+def _frozen(W: np.ndarray) -> np.ndarray:
+    W.setflags(write=False)
+    return W
 
 
 def make_base_matrix(b: int, entries) -> np.ndarray:
@@ -46,8 +55,7 @@ def make_base_matrix(b: int, entries) -> np.ndarray:
     Raises BadShape for wrong dimensions or non-finite entries, NotUnitary
     when max|W^H W - I| exceeds 1e-10.
     """
-    if b < 2:
-        raise BadShape(f"base dimension must be >= 2, got {b}")
+    b = _integer(b, 2, math.inf, BadShape, "base dimension")
     W = np.array(entries, dtype=np.complex128)
     if W.shape != (b, b):
         raise BadShape(f"expected a {b}x{b} matrix, got shape {W.shape}")
@@ -56,14 +64,16 @@ def make_base_matrix(b: int, entries) -> np.ndarray:
     err = np.max(np.abs(W.conj().T @ W - np.eye(b)))
     if err > UNITARITY_TOL:
         raise NotUnitary(f"max|W^H W - I| = {err:.3e} exceeds {UNITARITY_TOL:g}")
-    W.setflags(write=False)
-    return W
+    return _frozen(W)
+
+
+# unitary by construction: GTTOperator validates every base it is given
 
 
 def hadamard() -> np.ndarray:
     """The 2x2 Hadamard matrix."""
     s = 1.0 / math.sqrt(2.0)
-    return make_base_matrix(2, [[s, s], [s, -s]])
+    return _frozen(np.array([[s, s], [s, -s]], dtype=np.complex128))
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -83,16 +93,14 @@ def u3(theta: float, phi: float, lam: float) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
-    return make_base_matrix(2, W)
+    return _frozen(W)
 
 
 def dft_matrix(b: int) -> np.ndarray:
     """Unitary b x b DFT matrix, F[j,k] = exp(+2 pi i j k / b) / sqrt(b)."""
-    if b < 2:
-        raise BadShape(f"base dimension must be >= 2, got {b}")
+    b = _integer(b, 2, math.inf, BadShape, "base dimension")
     j = np.arange(b)
-    F = np.exp(2j * np.pi * np.outer(j, j) / b) / math.sqrt(b)
-    return make_base_matrix(b, F)
+    return _frozen(np.exp(2j * np.pi * np.outer(j, j) / b) / math.sqrt(b))
 
 
 def _kron_power(W: np.ndarray, m: int) -> np.ndarray:
@@ -116,7 +124,7 @@ def _block_depth(b: int) -> int:
 class GTTOperator:
     """A base matrix together with its tensor power n; N = b**n.
 
-    The base is validated like ``make_base_matrix`` (square, finite,
+    The base is validated by ``make_base_matrix`` (square, finite,
     unitary).  The blocked transform applies Kronecker powers of the base,
     least-significant levels first: n // m powers W^{(x)m}, then one
     W^{(x)r} for the r = n % m leftover levels.  The kernel multiplies by
@@ -132,20 +140,17 @@ class GTTOperator:
     _inverse_passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        base = np.asarray(self.base)
-        if base.ndim != 2 or base.shape[0] != base.shape[1]:
-            raise BadShape(f"base must be a square matrix, got shape {base.shape}")
-        base = make_base_matrix(base.shape[0], base)
+        # the longest side: make_base_matrix rejects any other shape
+        base = make_base_matrix(max(np.shape(self.base), default=0), self.base)
         object.__setattr__(self, "base", base)
         b = base.shape[0]
-        if self.n < 1:
-            raise BadShape(f"tensor power must be >= 1, got {self.n}")
-        N = b**self.n
+        n = _integer(self.n, 1, math.inf, BadShape, "tensor power")
+        N = b**n
         if N > np.iinfo(np.intp).max:
-            raise TooLarge(f"b**n = {b}**{self.n} exceeds the index range")
+            raise TooLarge(f"b**n = {b}**{n} exceeds the index range")
         object.__setattr__(self, "N", int(N))
-        m = min(_block_depth(b), self.n)
-        q, r = divmod(self.n, m)
+        m = min(_block_depth(b), n)
+        q, r = divmod(n, m)
         passes = (_kron_power(base.T, m),) * q
         if r:
             passes += (_kron_power(base.T, r),)
@@ -255,15 +260,19 @@ def gtt_inverse_apply(op: GTTOperator, y, counter: OpCounter | None = None) -> n
     return _fast_apply(_plan(op, counter, True), y, counter)
 
 
+def _check_dense_cap(op: GTTOperator) -> None:
+    cap = int(os.environ.get("GTT_DENSE_CAP", DEFAULT_DENSE_CAP))
+    if op.N > cap:
+        raise TooLarge(f"N = {op.N} exceeds the dense cap {cap}")
+
+
 def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
     """Explicit N x N matrix via iterated Kronecker products.
 
     Intended as an oracle and for small worked examples; guarded by a size
     cap (GTT_DENSE_CAP env var, default 4096) against O(N^2) blowups.
     """
-    cap = _dense_cap()
-    if op.N > cap:
-        raise TooLarge(f"N = {op.N} exceeds the dense cap {cap}")
+    _check_dense_cap(op)
     return _kron_power(op.base, op.n)
 
 

@@ -16,11 +16,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import GTTOperator, gtt_apply, gtt_inverse_apply
+from .core import GTTOperator, _integer, gtt_apply, gtt_inverse_apply
 from .errors import (
     BadCutoff,
     BadK,
     BadSelection,
+    BadShape,
     EmptySelection,
     LengthMismatch,
     NotNormalized,
@@ -32,22 +33,44 @@ NORM_TOL = 1e-9
 TIE_RTOL = 1e-12
 
 
-def _check_unit(v, name: str = "state") -> np.ndarray:
+def _check_state(v, N: int, name: str = "state") -> np.ndarray:
+    """``v`` as a complex vector, checked to have length N and unit norm."""
     v = np.asarray(v, dtype=np.complex128)
+    if v.shape != (N,):
+        raise LengthMismatch(f"{name} must be a length-{N} vector, got shape {v.shape}")
     nrm = np.linalg.norm(v)
     if not np.isfinite(nrm) or abs(nrm - 1.0) > NORM_TOL:
         raise NotNormalized(f"{name} must have unit norm, got {nrm!r}")
     return v
 
 
+def _check_selection(indices, N: int) -> np.ndarray:
+    """``indices`` as intp, checked to be a non-empty, strictly increasing
+    vector of integer dtype (so no float, even an integral one) in [0, N)."""
+    idx = np.asarray(indices)
+    if (
+        idx.ndim != 1
+        or idx.size == 0
+        or idx.dtype.kind not in "iu"
+        or np.any(idx[1:] <= idx[:-1])
+    ):
+        raise BadSelection("indices must be non-empty, strictly increasing integers")
+    if idx[0] < 0 or idx[-1] >= N:
+        raise BadSelection(f"indices must lie in [0, {N})")
+    return idx.astype(np.intp, copy=False)
+
+
+def _check_spectrum(spectrum) -> np.ndarray:
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    if spectrum.ndim != 1:
+        raise BadShape(f"spectrum must be a vector, got shape {spectrum.shape}")
+    return spectrum
+
+
 def fidelity(a, b) -> float:
     """Squared magnitude of the inner product of two unit-norm vectors."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    a = _check_unit(a, "first vector")
-    b = _check_unit(b, "second vector")
+    a = _check_state(a, np.size(a), "first vector")
+    b = _check_state(b, a.size, "second vector")
     return float(abs(np.vdot(a, b)) ** 2)
 
 
@@ -67,29 +90,30 @@ class SparseSelection:
         return float(np.sqrt(self.mass))
 
 
-def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
-    """Build a selection over explicit indices, computing the retained mass."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    N = spectrum.shape[0]
-    try:
-        if isinstance(indices, np.ndarray):
-            raw = indices.astype(np.intp)
-        else:
-            # any iterable of integers: a list, a set, a generator
-            raw = np.fromiter((int(i) for i in indices), dtype=np.intp)
-    except OverflowError:
-        raise BadSelection(f"indices must lie in [0, {N})") from None
-    except TypeError:
-        raise BadSelection("indices must be a non-empty list of distinct integers") from None
-    # np.sort, not np.unique: the first np.unique call of a process adds
-    # over 1 MB of resident memory
-    idx = np.sort(raw, axis=None)
-    if raw.ndim != 1 or idx.size == 0 or np.any(idx[1:] == idx[:-1]):
-        raise BadSelection("indices must be a non-empty list of distinct integers")
-    if idx[0] < 0 or idx[-1] >= N:
-        raise BadSelection(f"indices must lie in [0, {N})")
+def _selection(idx: np.ndarray, spectrum: np.ndarray) -> SparseSelection:
+    """The selection of checked indices, with their spectral mass."""
     mass = float(np.sum(np.abs(spectrum[idx]) ** 2))
     return SparseSelection(tuple(idx.tolist()), mass)
+
+
+def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
+    """Build a selection over explicit indices, computing the retained mass.
+
+    ``indices`` is any iterable of distinct integers in any order (a list, a
+    set, a generator); floats raise BadSelection rather than truncate.
+    """
+    spectrum = _check_spectrum(spectrum)
+    try:
+        raw = indices if isinstance(indices, np.ndarray) else np.array(list(indices))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        raise BadSelection("indices must be a non-empty list of integers") from None
+    # np.sort, not np.unique: the first np.unique call of a process adds
+    # over 1 MB of resident memory
+    idx = _check_selection(np.sort(raw) if raw.ndim == 1 else raw, spectrum.shape[0])
+    selection = _selection(idx, spectrum)
+    if not np.isfinite(selection.mass):
+        raise BadShape("spectrum must be finite at the selected indices")
+    return selection
 
 
 def top_k_indices(spectrum, k: int) -> SparseSelection:
@@ -99,16 +123,25 @@ def top_k_indices(spectrum, k: int) -> SparseSelection:
     rounding in the last bits does not decide between them; the slots left
     after the strictly larger ones go to the tied band's smallest indices.
     """
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    spectrum = _check_spectrum(spectrum)
     N = spectrum.shape[0]
-    if not 1 <= k <= N:
-        raise BadK(f"k must lie in [1, {N}], got {k}")
+    k = _integer(k, 1, N, BadK, "k")
     mag = np.abs(spectrum)
+    if not np.isfinite(mag.max()):
+        raise BadShape("spectrum must be finite")
     kth = np.partition(mag, N - k)[N - k]
     tol = TIE_RTOL * kth
     larger = np.flatnonzero(mag > kth + tol)
     tied = np.flatnonzero(np.abs(mag - kth) <= tol)
-    return make_selection(np.concatenate([larger, tied[: k - larger.size]]), spectrum)
+    idx = np.sort(np.concatenate([larger, tied[: k - larger.size]]))
+    return _selection(idx, spectrum)
+
+
+def _decode(op: GTTOperator, idx: np.ndarray, amplitudes) -> np.ndarray:
+    """Scatter ``amplitudes`` to spectral slots ``idx`` and inverse-transform."""
+    spectrum = np.zeros(op.N, dtype=np.complex128)
+    spectrum[idx] = amplitudes
+    return gtt_inverse_apply(op, spectrum)
 
 
 @dataclass(frozen=True)
@@ -122,28 +155,19 @@ class CompressionResult:
 
 def compress_hybrid(state, op: GTTOperator, k: int) -> CompressionResult:
     """Transform, keep the top-k coefficients, renormalize, reconstruct."""
-    state = _check_unit(state)
-    if state.shape[0] != op.N:
-        raise LengthMismatch(f"state length {state.shape[0]} != N = {op.N}")
+    state = _check_state(state, op.N)
     spectrum = gtt_apply(op, state)
     selection = top_k_indices(spectrum, k)
-    return _finish_compression(state, spectrum, selection, op)
-
-
-def _finish_compression(state, spectrum, selection, op) -> CompressionResult:
     if selection.mass <= 0.0:
         raise EmptySelection("retained spectral mass is zero")
     idx = np.array(selection.indices, dtype=np.intp)
     compressed = spectrum[idx] / selection.normalizer
-    truncated = np.zeros_like(spectrum)
-    truncated[idx] = compressed
-    reconstructed = gtt_inverse_apply(op, truncated)
-    fid = float(abs(np.vdot(state, reconstructed)) ** 2)
+    reconstructed = _decode(op, idx, compressed)
     return CompressionResult(
         selection=selection,
         compressed=compressed,
         reconstructed=reconstructed,
-        fidelity=fid,
+        fidelity=float(abs(np.vdot(state, reconstructed)) ** 2),
         discarded_norm=max(0.0, 1.0 - selection.mass),
     )
 
@@ -152,14 +176,15 @@ def reconstruct_from_classical(
     selection: SparseSelection, compressed, op: GTTOperator
 ) -> np.ndarray:
     """Scatter received amplitudes back to their spectral slots and invert."""
+    idx = _check_selection(selection.indices, op.N)
     compressed = np.asarray(compressed, dtype=np.complex128)
-    if compressed.shape[0] != selection.k:
+    if compressed.shape != idx.shape:
         raise LengthMismatch(
-            f"expected {selection.k} amplitudes, got {compressed.shape[0]}"
+            f"expected {idx.size} amplitudes, got shape {compressed.shape}"
         )
-    full = np.zeros(op.N, dtype=np.complex128)
-    full[np.array(selection.indices, dtype=np.intp)] = compressed
-    return gtt_inverse_apply(op, full)
+    if not np.all(np.isfinite(compressed)):
+        raise BadShape("amplitudes must be finite")
+    return _decode(op, idx, compressed)
 
 
 @dataclass(frozen=True)
@@ -187,19 +212,8 @@ def compress_fully_quantum(
     coordinates, and the simulation takes O(N + k) memory rather than the
     O(N k) of a dense joint statevector.
     """
-    state = _check_unit(state)
-    if state.shape[0] != op.N:
-        raise LengthMismatch(f"state length {state.shape[0]} != N = {op.N}")
-    idx = np.asarray(selection.indices)
-    if (
-        idx.ndim != 1
-        or idx.size == 0
-        or idx.dtype.kind not in "iu"
-        or np.any(np.diff(idx) <= 0)
-        or idx[0] < 0
-        or idx[-1] >= op.N
-    ):
-        raise BadSelection("selection indices invalid for this operator")
+    state = _check_state(state, op.N)
+    idx = _check_selection(selection.indices, op.N)
     k = idx.size
 
     # support of |spectrum>|0>|0>; the rank map sends the j-th smallest
@@ -230,10 +244,7 @@ def compress_fully_quantum(
     transmitted /= np.sqrt(success)
 
     # decode: expand |j> back to |y_j> and invert the transform
-    decoded = np.zeros(op.N, dtype=np.complex128)
-    decoded[idx] = transmitted
-    reconstructed = gtt_inverse_apply(op, decoded)
-    return QuantumSimOutcome(success, transmitted, reconstructed)
+    return QuantumSimOutcome(success, transmitted, _decode(op, idx, transmitted))
 
 
 @dataclass(frozen=True)
@@ -261,14 +272,13 @@ def filter_natural(
     ``spectrum_hook``, if given, maps the full spectrum before splitting
     (the optional mid-circuit processing slot).
     """
-    state = _check_unit(state)
-    if state.shape[0] != op.N:
-        raise LengthMismatch(f"state length {state.shape[0]} != N = {op.N}")
-    if not 1 <= cutoff <= op.N:
-        raise BadCutoff(f"cutoff must lie in [1, {op.N}], got {cutoff}")
+    state = _check_state(state, op.N)
+    cutoff = _integer(cutoff, 1, op.N, BadCutoff, "cutoff")
     spectrum = gtt_apply(op, state)
     if spectrum_hook is not None:
         spectrum = np.asarray(spectrum_hook(spectrum), dtype=np.complex128)
+        if not np.all(np.isfinite(spectrum)):
+            raise BadShape("spectrum_hook must return finite values")
     low_spectrum = spectrum.copy()
     low_spectrum[cutoff:] = 0.0
     high_spectrum = spectrum - low_spectrum

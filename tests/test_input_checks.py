@@ -1,20 +1,39 @@
-"""Bad samples, function values and signals end in BadShape, not NaN."""
+"""Bad caller input ends in its documented GTTError, never in a TypeError,
+an IndexError or a NaN result; values that gtt builds itself pass the checks
+that caller input gets."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import gtt.core
 from gtt import (
+    BadCutoff,
+    BadK,
+    BadSelection,
     BadShape,
     GTTOperator,
+    LengthMismatch,
+    NotUnitary,
+    SparseSelection,
     compare_transforms,
+    compress_fully_quantum,
+    compress_hybrid,
+    dft_matrix,
     discretize_midpoints,
     encode_fidelity,
+    filter_natural,
     hadamard,
+    make_base_matrix,
+    make_selection,
     optimize_theta,
+    reconstruct_from_classical,
     series_coefficients,
+    top_k_indices,
+    u3,
 )
 
 
@@ -56,3 +75,109 @@ def test_discretize_midpoints_rejects_non_finite(f):
 def test_empty_signal_is_bad_shape(call):
     with pytest.raises(BadShape):
         call(np.array([], dtype=np.complex128))
+
+
+OP8 = GTTOperator(hadamard(), 3)
+STATE8 = np.ones(8) / math.sqrt(8.0)
+SPECTRUM8 = np.arange(1, 9) / np.linalg.norm(np.arange(1, 9))
+
+
+def _reconstruct(indices, amplitudes):
+    return reconstruct_from_classical(SparseSelection(indices, 1.0), amplitudes, OP8)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: make_selection([1.5], SPECTRUM8), BadSelection),
+        (lambda: make_selection(np.array([1.5, 2.7]), SPECTRUM8), BadSelection),
+        (lambda: make_selection([0.0, 1.0], SPECTRUM8), BadSelection),
+        (lambda: make_selection([0], [np.nan] + [0.0] * 7), BadShape),
+        (lambda: top_k_indices(np.ones((2, 4)), 2), BadShape),
+        (lambda: top_k_indices([np.nan, 1.0, 2.0, 3.0], 2), BadShape),
+        (
+            lambda: compress_fully_quantum(STATE8, OP8, SparseSelection((0.0, 1.0), 1.0)),
+            BadSelection,
+        ),
+        (lambda: _reconstruct((-1,), [1.0]), BadSelection),
+        (lambda: _reconstruct((2, 2), [1.0, 1.0]), BadSelection),
+        (lambda: _reconstruct((9,), [1.0]), BadSelection),
+        (lambda: _reconstruct((1.5,), [1.0]), BadSelection),
+        (lambda: _reconstruct((1,), [[1.0]]), LengthMismatch),
+        (lambda: _reconstruct((1,), 1.0), LengthMismatch),
+        (lambda: _reconstruct((1,), [np.nan]), BadShape),
+        (lambda: compress_hybrid(STATE8, OP8, 2.5), BadK),
+        (lambda: filter_natural(STATE8, OP8, 2.5), BadCutoff),
+        (lambda: GTTOperator(hadamard(), 3.5), BadShape),
+        (lambda: filter_natural(STATE8, OP8, 2, lambda s: s * np.nan), BadShape),
+        (lambda: GTTOperator(np.ones((2, 2)), 3), NotUnitary),
+        (lambda: GTTOperator(np.ones((2, 3)), 3), BadShape),
+        (lambda: GTTOperator(u3(math.inf, 0.0, 0.0), 3), BadShape),
+        (lambda: dft_matrix(2.5), BadShape),
+    ],
+    ids=[
+        "make_selection-float",
+        "make_selection-float-array",
+        "make_selection-integral-floats",
+        "make_selection-nan-mass",
+        "top_k-matrix",
+        "top_k-nan",
+        "fully_quantum-float-indices",
+        "reconstruct-negative",
+        "reconstruct-repeated",
+        "reconstruct-out-of-range",
+        "reconstruct-float-index",
+        "reconstruct-matrix-amplitudes",
+        "reconstruct-scalar-amplitude",
+        "reconstruct-nan-amplitude",
+        "compress_hybrid-float-k",
+        "filter_natural-float-cutoff",
+        "operator-float-power",
+        "filter_natural-nan-hook",
+        "operator-not-unitary",
+        "operator-not-square",
+        "operator-inf-angle",
+        "dft_matrix-float-size",
+    ],
+)
+def test_probe_raises(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+ANGLES = (-1e6, -7.5, 0.0, 0.3, math.pi, 1e6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: [u3(*a) for a in itertools.product(ANGLES, repeat=3)],
+        lambda: [hadamard()],
+        lambda: [dft_matrix(b) for b in [*range(2, 65), 257]],
+    ],
+    ids=["u3", "hadamard", "dft_matrix"],
+)
+def test_constructors_are_read_only_unitary(build):
+    for W in build():
+        assert not W.flags.writeable
+        make_base_matrix(W.shape[0], W)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [hadamard, lambda: u3(0.3, 0.2, 0.1), lambda: dft_matrix(3)],
+    ids=["hadamard", "u3", "dft_matrix"],
+)
+def test_operator_from_constructor_checks_base_once(build, monkeypatch):
+    calls = []
+    check = gtt.core.make_base_matrix
+
+    def counted(b, entries):
+        calls.append(b)
+        return check(b, entries)
+
+    monkeypatch.setattr(gtt.core, "make_base_matrix", counted)
+    GTTOperator(build(), 2)
+    assert len(calls) == 1

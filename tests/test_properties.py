@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtt import (
+    BadSelection,
     GTTOperator,
     compress_hybrid,
     digit_counts,
@@ -15,6 +16,7 @@ from gtt import (
     gtt_element,
     gtt_inverse_apply,
     make_base_matrix,
+    make_selection,
     top_k_indices,
     u3,
 )
@@ -116,3 +118,16 @@ def test_top_k_ties_independent_of_rounding(seed, N):
     expected = tuple(sorted(sorted(range(N), key=lambda i: (-levels[i], i))[:k]))
     assert top_k_indices(spectrum, k).indices == expected
     assert top_k_indices(noisy, k).indices == expected
+
+
+@given(st.lists(st.one_of(st.integers(-2, 17), st.integers(), st.floats()), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_make_selection_never_truncates(indices):
+    spectrum = np.ones(16) / 4.0
+    try:
+        sel = make_selection(indices, spectrum)
+    except BadSelection:
+        return
+    assert all(type(i) is int for i in indices)
+    assert sel.indices == tuple(sorted(set(indices)))
+    assert len(sel.indices) == len(indices)
