@@ -9,13 +9,15 @@ the unscaled functions at subinterval midpoints recovers the transform
 matrix.
 
 Points and indices may be scalars or arrays: ``eval_basis`` broadcasts j
-against x, and ``series_reconstruct`` evaluates any number of points with
-one forward transform per call.  Scalar inputs give a Python complex.
+against x, and ``series_reconstruct`` evaluates any number of points as a
+gather from the expansion's values on the N subintervals, one forward
+transform computed on first use.  Scalar inputs give a Python complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,10 +83,31 @@ def sample_matrix(op: GTTOperator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeriesExpansion:
-    """Expansion of a function in the orthonormal basis of an operator."""
+    """Expansion of a function in the orthonormal basis of an operator.
+
+    The coefficients are held as a read-only copy, so the values on the
+    subintervals, computed once on first use, cannot go stale.
+    """
 
     op: GTTOperator
     coefficients: np.ndarray
+
+    def __post_init__(self):
+        C = np.array(self.coefficients, dtype=np.complex128)
+        if C.shape != (self.op.N,):
+            raise BadSampleCount(f"expected {self.op.N} coefficients, got shape {C.shape}")
+        C.setflags(write=False)
+        object.__setattr__(self, "coefficients", C)
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        # phi_m is b**(n/2) times column m of the transform matrix on each
+        # subinterval, so the sum over m on subinterval p is entry p of the
+        # transform of the coefficients
+        op = self.op
+        values = op.b ** (op.n / 2.0) * gtt_apply(op, self.coefficients)
+        values.setflags(write=False)
+        return values
 
 
 def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
@@ -113,12 +136,5 @@ def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
 
 def series_reconstruct(exp: SeriesExpansion, x):
     """Evaluate sum_m C_m phi_m(x) at a point, or an array of points, of [0, 1)."""
-    op = exp.op
-    C = np.asarray(exp.coefficients, dtype=np.complex128)
-    if C.shape != (op.N,):
-        raise BadSampleCount(f"expected {op.N} coefficients, got shape {C.shape}")
-    p = _subinterval(op.N, x)
-    # phi_m is b**(n/2) times column m of the transform matrix on the
-    # subinterval p holding x, so the sum is entry p of the transform of C
-    v = op.b ** (op.n / 2.0) * gtt_apply(op, C)[p]
+    v = exp._values[_subinterval(exp.op.N, x)]
     return complex(v) if v.ndim == 0 else v

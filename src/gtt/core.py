@@ -11,10 +11,15 @@ of the index, so the last pass leaves the result in natural order.  Vectors
 longer than TILE elements run their low-digit passes tile by tile in cache.
 Calls that count their arithmetic run one level per pass (N * b multiplies
 per level) through the same kernel.
+
+The kernel also takes a leading batch axis: a stack of G bases gives G
+pass stacks, and each pass is then one batched ``matmul`` over the G
+vectors, so G transforms of one signal (an angle scan) cost one call.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import os
@@ -49,14 +54,23 @@ def _frozen(W: np.ndarray) -> np.ndarray:
     return W
 
 
+def _complex_array(entries) -> np.ndarray:
+    """``entries`` as a new complex array; BadShape if they are ragged or
+    not numbers."""
+    try:
+        return np.array(entries, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise BadShape("matrix entries must form a rectangular array of numbers") from None
+
+
 def make_base_matrix(b: int, entries) -> np.ndarray:
     """Validate and return a b x b unitary base matrix as a read-only copy.
 
-    Raises BadShape for wrong dimensions or non-finite entries, NotUnitary
-    when max|W^H W - I| exceeds 1e-10.
+    Raises BadShape for wrong dimensions, ragged rows or non-finite
+    entries, NotUnitary when max|W^H W - I| exceeds 1e-10.
     """
     b = _integer(b, 2, math.inf, BadShape, "base dimension")
-    W = np.array(entries, dtype=np.complex128)
+    W = _complex_array(entries)
     if W.shape != (b, b):
         raise BadShape(f"expected a {b}x{b} matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -76,24 +90,39 @@ def hadamard() -> np.ndarray:
     return _frozen(np.array([[s, s], [s, -s]], dtype=np.complex128))
 
 
-def u3(theta: float, phi: float, lam: float) -> np.ndarray:
+def u3(theta, phi, lam) -> np.ndarray:
     """General 2x2 unitary from the (theta, phi, lambda) rotation angles.
 
     [[cos(t/2), -e^{i lam} sin(t/2)],
      [e^{i phi} sin(t/2), e^{i (phi+lam)} cos(t/2)]]
+
+    The angles may be arrays, broadcast against each other; the result is
+    then a read-only stack of shape (..., 2, 2), one matrix per angle
+    triple.  Non-finite angles raise BadShape.
     """
-    for name, v in (("theta", theta), ("phi", phi), ("lambda", lam)):
-        if not math.isfinite(v):
+    angles = (theta, phi, lam)
+    if all(isinstance(v, (int, float)) for v in angles):
+        # scalars: the math functions cost a fraction of numpy's 0-d ufuncs
+        shape, finite, cos, sin, exp = (), math.isfinite, math.cos, math.sin, cmath.exp
+    else:
+        angles = [np.asarray(v, dtype=np.float64) for v in angles]
+        shape = np.broadcast(*angles).shape
+        finite, cos, sin, exp = _all_finite, np.cos, np.sin, np.exp
+    for name, v in zip(("theta", "phi", "lambda"), angles):
+        if not finite(v):
             raise BadShape(f"{name} must be finite")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    W = np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=np.complex128,
-    )
+    t, p, l = angles
+    c, s = cos(t / 2.0), sin(t / 2.0)
+    W = np.empty(shape + (2, 2), np.complex128)
+    W[..., 0, 0] = c
+    W[..., 0, 1] = -exp(1j * l) * s
+    W[..., 1, 0] = exp(1j * p) * s
+    W[..., 1, 1] = exp(1j * (p + l)) * c
     return _frozen(W)
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    return bool(np.isfinite(v).all())
 
 
 def dft_matrix(b: int) -> np.ndarray:
@@ -103,12 +132,20 @@ def dft_matrix(b: int) -> np.ndarray:
     return _frozen(np.exp(2j * np.pi * np.outer(j, j) / b) / math.sqrt(b))
 
 
+def _kron(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A tensor C, for matrices or for stacks of them, (..., a, a) and (..., c, c)."""
+    B = A.shape[-1] * C.shape[-1]
+    return (A[..., :, None, :, None] * C[..., None, :, None, :]).reshape(*A.shape[:-2], B, B)
+
+
 def _kron_power(W: np.ndarray, m: int) -> np.ndarray:
-    """W tensored m times, built by broadcast outer products."""
+    """W tensored m times, by square-and-multiply over the bits of m; a
+    stack (..., b, b) gives the stack of its powers."""
     P = W
-    for _ in range(m - 1):
-        B = P.shape[0] * W.shape[0]
-        P = (P[:, None, :, None] * W[None, :, None, :]).reshape(B, B)
+    for bit in bin(m)[3:]:
+        P = _kron(P, P)
+        if bit == "1":
+            P = _kron(P, W)
     return P
 
 
@@ -120,17 +157,31 @@ def _block_depth(b: int) -> int:
     return m
 
 
+def _blocked_passes(WT: np.ndarray, n: int) -> tuple:
+    """The blocked plan for n levels of the base whose transpose is WT.
+
+    Kronecker powers of WT, least-significant levels first: n // m powers
+    (W^T)^{(x)m}, then one (W^T)^{(x)r} for the r = n % m leftover levels.
+    A stack (G, b, b) gives pass stacks (G, B, B).
+    """
+    m = min(_block_depth(WT.shape[-1]), n)
+    q, r = divmod(n, m)
+    passes = (_kron_power(WT, m),) * q
+    if r:
+        passes += (_kron_power(WT, r),)
+    return passes
+
+
 @dataclass(frozen=True)
 class GTTOperator:
     """A base matrix together with its tensor power n; N = b**n.
 
     The base is validated by ``make_base_matrix`` (square, finite,
     unitary).  The blocked transform applies Kronecker powers of the base,
-    least-significant levels first: n // m powers W^{(x)m}, then one
-    W^{(x)r} for the r = n % m leftover levels.  The kernel multiplies by
-    them from the right, so ``_passes`` holds their transposes,
-    (W^T)^{(x)m}, and ``_inverse_passes`` those of the inverse's powers,
-    conj(W^{(x)m}).
+    least-significant levels first (``_blocked_passes``).  The kernel
+    multiplies by them from the right, so ``_passes`` holds their
+    transposes, (W^T)^{(x)m}, and ``_inverse_passes`` those of the
+    inverse's powers, conj(W^{(x)m}).
     """
 
     base: np.ndarray
@@ -140,8 +191,9 @@ class GTTOperator:
     _inverse_passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        base = _complex_array(self.base)
         # the longest side: make_base_matrix rejects any other shape
-        base = make_base_matrix(max(np.shape(self.base), default=0), self.base)
+        base = make_base_matrix(max(base.shape, default=0), base)
         object.__setattr__(self, "base", base)
         b = base.shape[0]
         n = _integer(self.n, 1, math.inf, BadShape, "tensor power")
@@ -149,11 +201,7 @@ class GTTOperator:
         if N > np.iinfo(np.intp).max:
             raise TooLarge(f"b**n = {b}**{n} exceeds the index range")
         object.__setattr__(self, "N", int(N))
-        m = min(_block_depth(b), n)
-        q, r = divmod(n, m)
-        passes = (_kron_power(base.T, m),) * q
-        if r:
-            passes += (_kron_power(base.T, r),)
+        passes = _blocked_passes(base.T, n)
         object.__setattr__(self, "_passes", passes)
         object.__setattr__(self, "_inverse_passes", tuple(R.conj().T for R in passes))
 
@@ -198,7 +246,11 @@ def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     and after the last one every level is back in its place.
 
     Vectors of at most TILE elements run every pass over the whole vector,
-    each pass allocating its result (reused buffers measured slower).
+    each pass allocating its result (reused buffers measured slower).  In
+    this branch ``x`` may be a batch (G, N) of vectors, and the passes
+    stacks (G, B, B) that act on vector g with matrix g; each pass is then
+    one batched ``matmul``.  G operators on one vector take that vector
+    broadcast to (G, N).
     Longer ones are cut into tiles of T <= TILE elements: the leading
     passes, whose levels span T, act only within a contiguous tile.  The
     passes left (one or two in a blocked plan) act on the high digits and
@@ -210,16 +262,17 @@ def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     The result is contiguous, in natural order, and shares no memory with
     ``x``.  A pass costs N * B multiplies and N * (B - 1) adds.
     """
-    N = x.shape[0]
+    N = x.shape[-1]
     if counter is not None:
         for R in passes:
             B = R.shape[0]
             counter.mults += N * B
             counter.adds += N * (B - 1)
     if N <= TILE:
+        batch = x.shape[:-1]
         for R in reversed(passes):
-            x = x.reshape(R.shape[0], -1).T @ R
-        return x.reshape(N)
+            x = x.reshape(batch + (R.shape[-1], -1)).mT @ R
+        return x.reshape(batch + (N,))
     T, lead = passes[0].shape[0], 1
     while T * passes[lead].shape[0] <= TILE:
         T *= passes[lead].shape[0]
@@ -239,6 +292,19 @@ def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
             y = y.reshape(R.shape[0], -1).T @ R
         np.matmul(y.reshape(B, -1).T, head[0], out=row.reshape(-1, B))
     return x
+
+
+def _apply_bases(W: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """(W^{(x)n}) x for a base W (b, b), or for each base of a stack (G, b, b).
+
+    ``x`` is a length-b**n complex vector, already checked.  A stack gives
+    the G transforms as the rows of a (G, N) array, in one kernel call; it
+    needs N <= TILE, the kernel's untiled branch.  No operator is built and
+    the bases are not checked: callers pass bases unitary by construction.
+    """
+    if W.ndim == 3:
+        x = np.broadcast_to(x, (W.shape[0], x.shape[-1]))
+    return _fast_apply(_blocked_passes(W.mT, n), x, None)
 
 
 def _plan(op: GTTOperator, counter: OpCounter | None, inverse: bool) -> tuple:

@@ -2,9 +2,15 @@
 
 A real function on [0, 1] is sampled at subinterval midpoints, normalized
 into an amplitude vector, and compressed by top-k truncation in the
-u3(theta, 0, pi) tensor-power basis.  The angle theta is tuned by a
-derivative-free search to maximize reconstruction fidelity; Hadamard and
-full-size DFT bases are evaluated alongside for comparison.
+u3(theta, 0, pi) tensor-power basis.  The fidelity of a renormalized top-k
+truncation equals the retained top-k mass of one forward transform, so that
+mass is the objective: an evaluation builds no operator and runs no inverse
+transform.  The angle theta is tuned by a derivative-free search; each grid
+scan is one batched kernel call over all its angles, and golden-section
+steps refine the best grid point.  Hadamard and full-size DFT bases are
+evaluated alongside for comparison.  Signals, k and angles are validated
+once, where they enter ``encode_fidelity``, ``optimize_theta`` or
+``compare_transforms``.
 """
 
 from __future__ import annotations
@@ -15,10 +21,22 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# dft_matrix stays imported: the benchmark's traced run wraps encode.dft_matrix
-from .core import GTTOperator, dft_matrix, u3  # noqa: F401
-from .errors import BadShape, ZeroVector
-from .protocols import compress_hybrid, top_k_indices
+# GTTOperator and dft_matrix stay imported: the benchmark's traced run wraps
+# encode.GTTOperator and encode.dft_matrix
+from .core import (  # noqa: F401
+    MAX_BLOCK,
+    TILE,
+    GTTOperator,
+    _apply_bases,
+    _integer,
+    dft_matrix,
+    u3,
+)
+from .errors import BadK, BadShape, ZeroVector
+
+# compress_hybrid stays imported: the benchmark's traced run wraps
+# encode.compress_hybrid
+from .protocols import _check_state, compress_hybrid  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,6 +46,9 @@ _TIE_TOL = 1e-12
 
 # half-width of the bracket scanned around each restart seed
 _HALF_WIDTH = math.pi / 4.0
+
+# u3 angles of the Hadamard base, the comparison column
+_HADAMARD = (math.pi / 2.0, 0.0, math.pi)
 
 
 class U3Params(NamedTuple):
@@ -60,44 +81,83 @@ def discretize_midpoints(f: Callable[[float], float], N: int) -> np.ndarray:
     return v / nrm
 
 
-def _qubit_count(signal) -> int:
-    shape = np.shape(signal)
-    if len(shape) != 1 or shape[0] < 1:
-        raise BadShape(f"signal must be a non-empty vector, got shape {shape}")
-    N = shape[0]
-    n = int(round(math.log2(N)))
-    if 2**n != N:
-        raise BadShape(f"signal length {N} is not a power of 2")
-    return n
+def _check_signal(signal, k) -> tuple[np.ndarray, int]:
+    """The signal as a contiguous complex vector, and k as an int.
+
+    BadShape unless the signal is a vector of length 2**n >= 2,
+    NotNormalized unless it is finite with unit norm, BadK unless k is an
+    integer in [1, N].
+    """
+    signal = np.ascontiguousarray(signal, dtype=np.complex128)
+    N = signal.shape[0] if signal.ndim == 1 else 0
+    if N < 2 or N & (N - 1):
+        raise BadShape(f"signal must be a vector of length 2**n >= 2, got shape {signal.shape}")
+    signal = _check_state(signal, N, "signal")
+    return signal, _integer(k, 1, N, BadK, "k")
+
+
+def _top_k_mass(spectra: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the k largest |c|^2 along the last axis."""
+    power = spectra.real**2 + spectra.imag**2
+    N = power.shape[-1]
+    return np.partition(power, N - k, axis=-1)[..., N - k :].sum(axis=-1)
+
+
+def _retained_mass(signal: np.ndarray, k: int, angles: np.ndarray) -> np.ndarray:
+    """Retained top-k mass of a checked signal in the u3 power basis of
+    each row (theta, phi, lam) of the (G, 3) array ``angles``.
+
+    The mass is the fidelity of the renormalized top-k truncation.  Angles
+    run as batched transforms of at most one TILE of elements: G angles
+    hold G * N spectrum elements and G * B**2 pass-matrix elements, with
+    B <= MAX_BLOCK.  A single angle, or a signal longer than TILE, runs the
+    plain kernel, tiled above TILE.
+    """
+    N = signal.shape[0]
+    n = N.bit_length() - 1
+    step = max(1, TILE // max(N, MAX_BLOCK**2))
+    mass = np.empty(len(angles))
+    for lo in range(0, len(angles), step):
+        chunk = angles[lo : lo + step]
+        # a single angle runs as scalars: one 2 x 2 base and the plain kernel
+        W = u3(*chunk[0]) if len(chunk) == 1 else u3(*chunk.T)
+        mass[lo : lo + step] = _top_k_mass(_apply_bases(W, n, signal), k)
+    return mass
 
 
 def encode_fidelity(params, signal, k: int) -> float:
     """Compression fidelity of the signal in the u3(params) power basis."""
-    theta, phi, lam = params
-    n = _qubit_count(signal)
-    op = GTTOperator(u3(theta, phi, lam), n)
-    return compress_hybrid(signal, op, k).fidelity
+    signal, k = _check_signal(signal, k)
+    return float(_retained_mass(signal, k, np.array([params], dtype=np.float64))[0])
 
 
 def _dft_fidelity(signal, k: int) -> float:
     # the ortho ifft is the unitary N-point DFT of dft_matrix's sign; for a
     # renormalized top-k truncation the fidelity is the retained mass
-    return top_k_indices(np.fft.ifft(signal, norm="ortho"), k).mass
+    return float(_top_k_mass(np.fft.ifft(signal, norm="ortho"), k))
 
 
 class _Objective:
-    """Negated fidelity as a function of theta, with an evaluation count."""
+    """Negated retained mass along one angle of (theta, phi, lam), the
+    others held at ``params``; counts every angle it evaluates."""
 
-    def __init__(self, signal, k, phi=0.0, lam=math.pi):
+    def __init__(self, signal, k, params=(0.0, 0.0, math.pi), axis=0):
         self.signal = signal
         self.k = k
-        self.phi = phi
-        self.lam = lam
+        self.params = tuple(params)
+        self.axis = axis
         self.evals = 0
 
-    def __call__(self, theta: float) -> float:
-        self.evals += 1
-        return 1.0 - encode_fidelity((theta, self.phi, self.lam), self.signal, self.k)
+    def scan(self, values) -> np.ndarray:
+        """The objective at each of ``values``, as one evaluator call."""
+        angles = np.empty((len(values), 3))
+        angles[:] = self.params
+        angles[:, self.axis] = values
+        self.evals += len(values)
+        return 1.0 - _retained_mass(self.signal, self.k, angles)
+
+    def __call__(self, value: float) -> float:
+        return float(self.scan((value,))[0])
 
 
 def _golden_section(obj, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
@@ -119,7 +179,7 @@ def _golden_section(obj, lo: float, hi: float, tol: float = 1e-8) -> tuple[float
     return theta, obj(theta)
 
 
-def _scan_and_refine(obj, lo: float, hi: float, points: int) -> tuple[float, float]:
+def _scan_and_refine(obj: _Objective, lo: float, hi: float, points: int) -> tuple[float, float]:
     """Grid scan of [lo, hi], then golden refinement around the best point.
 
     The objective has kinks wherever the top-k index set changes, so a
@@ -127,13 +187,13 @@ def _scan_and_refine(obj, lo: float, hi: float, points: int) -> tuple[float, flo
     grid point is kept when it beats the refined one.
     """
     grid = np.linspace(lo, hi, points)
-    values = [obj(t) for t in grid]
+    values = obj.scan(grid)
     i = int(np.argmin(values))
     a = grid[max(0, i - 1)]
     b = grid[min(points - 1, i + 1)]
     theta, value = _golden_section(obj, a, b)
     if values[i] < value:
-        return float(grid[i]), values[i]
+        return float(grid[i]), float(values[i])
     return theta, value
 
 
@@ -142,24 +202,27 @@ def default_restarts() -> list[float]:
     return list(np.linspace(0.0, math.pi / 4.0, 16)) + [math.pi / 2.0]
 
 
+def _check_restarts(restarts) -> list[float]:
+    seeds = np.asarray(restarts, dtype=np.float64)
+    if seeds.ndim != 1 or seeds.size == 0 or not np.isfinite(seeds).all():
+        raise BadShape(f"restarts must be a non-empty list of finite angles, got {restarts!r}")
+    return seeds.tolist()
+
+
 def _coordinate_descent(signal, k, theta0: float, cycles: int = 3):
     """Optional full (theta, phi, lam) search by cyclic golden sections."""
     params = [theta0, 0.0, math.pi]
-    evals = [1]
-    best = 1.0 - encode_fidelity(params, signal, k)
+    evals = 1
+    best = 1.0 - _retained_mass(signal, k, np.array([params]))[0]
     for _ in range(cycles):
         for i in range(3):
-            def slice_obj(v, i=i):
-                evals[0] += 1
-                trial = list(params)
-                trial[i] = v
-                return 1.0 - encode_fidelity(trial, signal, k)
-
+            slice_obj = _Objective(signal, k, params, axis=i)
             v_star, f_star = _scan_and_refine(slice_obj, 0.0, 2.0 * math.pi, 65)
+            evals += slice_obj.evals
             if f_star < best - _TIE_TOL:
                 params[i] = v_star
                 best = f_star
-    return U3Params(*params), 1.0 - best, evals[0]
+    return U3Params(*params), float(1.0 - best), evals
 
 
 def optimize_theta(
@@ -172,10 +235,11 @@ def optimize_theta(
 
     Runs a bracketed derivative-free search from every restart seed and
     keeps the best angle, ties broken toward the smaller theta.  With
-    ``vary_all`` a cyclic search over all three angles follows.
+    ``vary_all`` a cyclic search over all three angles follows.  Restart
+    seeds must be finite (BadShape).
     """
-    signal = np.asarray(signal, dtype=np.complex128)
-    seeds = default_restarts() if restarts is None else [float(t) for t in restarts]
+    signal, k = _check_signal(signal, k)
+    seeds = default_restarts() if restarts is None else _check_restarts(restarts)
     obj = _Objective(signal, k)
     best_theta, best_value = None, np.inf
     for seed in sorted(seeds):
@@ -200,7 +264,7 @@ def optimize_theta(
         k=k,
         optimal_params=params,
         gtt_fidelity=gtt_fid,
-        hadamard_fidelity=encode_fidelity((math.pi / 2.0, 0.0, math.pi), signal, k),
+        hadamard_fidelity=float(_retained_mass(signal, k, np.array([_HADAMARD]))[0]),
         dft_fidelity=_dft_fidelity(signal, k),
         optimizer_evals=evals,
     )
@@ -212,15 +276,16 @@ def compare_transforms(signal, k: int, params=None) -> EncodingReport:
     ``params`` pins the u3 angles instead of optimizing; the DFT column is
     the full N-point DFT, computed with ``np.fft``.
     """
-    signal = np.asarray(signal, dtype=np.complex128)
     if params is None:
         return optimize_theta(signal, k)
+    signal, k = _check_signal(signal, k)
     params = U3Params(*params)
+    gtt_fid, hadamard_fid = _retained_mass(signal, k, np.array([params, _HADAMARD]))
     return EncodingReport(
         k=k,
         optimal_params=params,
-        gtt_fidelity=encode_fidelity(params, signal, k),
-        hadamard_fidelity=encode_fidelity((math.pi / 2.0, 0.0, math.pi), signal, k),
+        gtt_fidelity=float(gtt_fid),
+        hadamard_fidelity=float(hadamard_fid),
         dft_fidelity=_dft_fidelity(signal, k),
         optimizer_evals=1,
     )

@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gtt.basis
 from gtt import (
+    BadSampleCount,
     BadShape,
     DomainError,
     GTTOperator,
     IndexOutOfRange,
+    SeriesExpansion,
     dense_gtt_matrix,
     digit_counts,
     eval_basis,
@@ -185,6 +188,39 @@ class TestSeriesArrays:
         want = np.array([series_reconstruct(exp, float(x)) for x in xs.ravel()])
         assert np.max(np.abs(got.ravel() - want)) <= 1e-15
         assert type(series_reconstruct(exp, 0.25)) is complex
+
+
+def test_series_reconstruct_transforms_once(monkeypatch):
+    op = _operator(2, 6)
+    rng = np.random.default_rng(79)
+    exp = series_coefficients(op, rng.standard_normal(2 * op.N))
+    xs = _points(op.N)
+    first = series_reconstruct(exp, xs)
+    calls = []
+    transform = gtt.basis.gtt_apply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(gtt.basis, "gtt_apply", counted)
+    again = series_reconstruct(exp, xs)
+    point = series_reconstruct(exp, float(xs[3]))
+    assert not calls
+    assert np.array_equal(again, first) and point == first[3]
+    assert not exp.coefficients.flags.writeable
+    again[:] = 0  # the caller's result is its own, not the cache
+    assert np.array_equal(series_reconstruct(exp, xs), first)
+
+
+def test_series_expansion_copies_and_checks_coefficients():
+    op = _operator(2, 3)
+    C = np.arange(8, dtype=np.complex128)
+    exp = SeriesExpansion(op, C)
+    C[0] = 99.0
+    assert exp.coefficients[0] == 0.0
+    with pytest.raises(BadSampleCount):
+        SeriesExpansion(op, np.ones(7))
 
 
 def test_sample_matrix_peak_memory():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gtt.core
 from gtt import (
     BadShape,
     GTTOperator,
@@ -217,6 +218,55 @@ class TestTiledKernel:
             y = fast(op, x)
             assert np.array_equal(x, keep)
             assert not np.shares_memory(x, y)
+
+
+class TestBatchedKernel:
+    # a stack of G bases runs as one kernel call: batched passes (G, B, B)
+    # against the vector broadcast to (G, N); every remainder pass length
+    @pytest.mark.parametrize("b,n", [(2, 4), (2, 6), (2, 7), (3, 3), (3, 5), (4, 3), (4, 4)])
+    def test_stack_equals_loop_of_single_calls(self, b, n):
+        rng = np.random.default_rng(300 + 10 * b + n)
+        bases = np.array([random_unitary(rng, b) for _ in range(3)])
+        x = rng.standard_normal(b**n) + 1j * rng.standard_normal(b**n)
+        got = gtt.core._apply_bases(bases, n, x)
+        assert got.shape == (3, b**n)
+        for W, y in zip(bases, got):
+            assert np.max(np.abs(y - gtt_apply(GTTOperator(W, n), x))) < 1e-12
+
+    @pytest.mark.parametrize("b,n", [(2, 6), (3, 5)])
+    def test_several_vectors_one_plan(self, b, n):
+        rng = np.random.default_rng(b * n)
+        op = GTTOperator(random_unitary(rng, b), n)
+        X = rng.standard_normal((4, op.N)) + 1j * rng.standard_normal((4, op.N))
+        got = gtt.core._fast_apply(op._passes, X, None)
+        for x, y in zip(X, got):
+            assert np.max(np.abs(y - gtt_apply(op, x))) < 1e-12
+
+    def test_single_base_above_tile_matches_axis_oracle(self):
+        rng = np.random.default_rng(17)
+        W = random_unitary(rng, 2)
+        x = rng.standard_normal(2**17) + 1j * rng.standard_normal(2**17)
+        got = gtt.core._apply_bases(W, 17, x)
+        assert np.max(np.abs(got - apply_by_axes(W, 17, x))) < 1e-12
+
+    def test_stacked_u3_and_powers_match_single_ones(self):
+        theta = np.array([[0.1, 2.0, -7.5]])
+        stack = u3(theta, np.array([[0.3], [1.1]]), math.pi)
+        assert stack.shape == (2, 3, 2, 2)
+        assert not stack.flags.writeable
+        for i, j in np.ndindex(2, 3):
+            one = u3(float(theta[0, j]), (0.3, 1.1)[i], math.pi)
+            assert np.max(np.abs(stack[i, j] - one)) < 1e-15
+        flat = stack.reshape(-1, 2, 2)
+        for m in (1, 2, 3, 4, 5):
+            powers = gtt.core._kron_power(flat, m)
+            for W, P in zip(flat, powers):
+                assert np.max(np.abs(P - kron_power(W, m))) < 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stacked_u3_rejects_non_finite(self, bad):
+        with pytest.raises(BadShape):
+            u3(np.array([0.1, bad]), 0.0, math.pi)
 
 
 class TestInverseApply:

@@ -3,7 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gtt.core
+import gtt.encode
 from gtt import (
     GTTOperator,
     ZeroVector,
@@ -17,6 +21,9 @@ from gtt import (
     optimize_theta,
     u3,
 )
+from gtt.core import TILE
+
+from oracles import apply_by_axes
 
 
 class TestDiscretize:
@@ -110,6 +117,15 @@ class TestOptimizeTheta:
         full = optimize_theta(sig, 8, vary_all=True)
         assert full.gtt_fidelity >= base.gtt_fidelity - 1e-12
 
+    @pytest.mark.parametrize(
+        "k, fidelity, evals",
+        [(4, 0.8256089912798763, 1175), (8, 0.9549350769474223, 1155), (12, 0.996854040881798, 1174)],
+    )
+    def test_table2_golden(self, k, fidelity, evals):
+        report = optimize_theta(builtin_signal("table2"), k)
+        assert abs(report.gtt_fidelity - fidelity) < 1e-12
+        assert report.optimizer_evals == evals
+
 
 class TestCompareTransforms:
     def test_s1_row(self):
@@ -156,3 +172,74 @@ class TestCompareTransforms:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def random_state(rng, N):
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    return x / np.linalg.norm(x)
+
+
+class TestRetainedMass:
+    """The optimizer's evaluator: the top-k mass of one forward transform
+    per angle triple, in batches of at most one TILE of spectra."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.floats(-7.0, 7.0), min_size=3, max_size=3),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_equals_compress_hybrid_fidelity(self, n, angles, seed, data):
+        k = data.draw(st.integers(1, 2**n))
+        state = random_state(np.random.default_rng(seed), 2**n)
+        mass = gtt.encode._retained_mass(state, k, np.array([angles, angles[::-1]]))
+        for a, m in zip((angles, angles[::-1]), mass):
+            want = compress_hybrid(state, GTTOperator(u3(*a), n), k).fidelity
+            assert abs(m - want) < 1e-12
+
+    def test_above_tile_matches_axis_oracle(self):
+        n, k = 17, 64
+        state = random_state(np.random.default_rng(71), 2**n)
+        angles = np.array([[0.4, 0.2, 1.0], [2.5, 0.0, math.pi]])
+        for a, m in zip(angles, gtt.encode._retained_mass(state, k, angles)):
+            power = np.abs(apply_by_axes(u3(*a), n, state)) ** 2
+            assert abs(m - np.sort(power)[-k:].sum()) < 1e-12
+
+    def test_batches_hold_at_most_one_tile(self, monkeypatch):
+        n, G = 12, 40
+        state = random_state(np.random.default_rng(73), 2**n)
+        angles = np.column_stack([np.linspace(0, 3, G), np.zeros(G), np.full(G, math.pi)])
+        sizes = []
+        kernel = gtt.core._fast_apply
+
+        def recorded(passes, x, counter):
+            y = kernel(passes, x, counter)
+            sizes.append(y.size)
+            return y
+
+        monkeypatch.setattr(gtt.core, "_fast_apply", recorded)
+        mass = gtt.encode._retained_mass(state, 9, angles)
+        assert max(sizes) <= TILE and sum(sizes) == G * 2**n
+        for a, m in zip(angles, mass):
+            assert abs(m - encode_fidelity(a, state, 9)) < 1e-12
+
+
+def test_optimizer_builds_no_operator_and_batches_grids(monkeypatch):
+    counts = {"operator": 0, "compress": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gtt.encode, "GTTOperator", counted("operator", GTTOperator))
+    monkeypatch.setattr(gtt.encode, "compress_hybrid", counted("compress", compress_hybrid))
+    monkeypatch.setattr(gtt.core, "_fast_apply", counted("kernel", gtt.core._fast_apply))
+    report = optimize_theta(builtin_signal("table2"), 4)
+    assert counts["operator"] == 0 and counts["compress"] == 0
+    # each of the 17 grid scans evaluates 33 angles in one kernel call; the
+    # golden steps and the Hadamard column take one call each
+    assert 0 < counts["kernel"] <= report.optimizer_evals - 17 * 32 + 1

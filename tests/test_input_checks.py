@@ -11,12 +11,14 @@ import pytest
 
 import gtt.core
 from gtt import (
+    builtin_signal,
     BadCutoff,
     BadK,
     BadSelection,
     BadShape,
     GTTOperator,
     LengthMismatch,
+    NotNormalized,
     NotUnitary,
     SparseSelection,
     compare_transforms,
@@ -35,6 +37,7 @@ from gtt import (
     top_k_indices,
     u3,
 )
+from gtt.cli import main
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -114,6 +117,8 @@ def _reconstruct(indices, amplitudes):
         (lambda: GTTOperator(np.ones((2, 3)), 3), BadShape),
         (lambda: GTTOperator(u3(math.inf, 0.0, 0.0), 3), BadShape),
         (lambda: dft_matrix(2.5), BadShape),
+        (lambda: GTTOperator([[1, 0], [0]], 1), BadShape),
+        (lambda: make_base_matrix(2, [[1, 0], [0]]), BadShape),
     ],
     ids=[
         "make_selection-float",
@@ -138,6 +143,8 @@ def _reconstruct(indices, amplitudes):
         "operator-not-square",
         "operator-inf-angle",
         "dft_matrix-float-size",
+        "operator-ragged-base",
+        "make_base_matrix-ragged",
     ],
 )
 def test_probe_raises(call, error):
@@ -181,3 +188,65 @@ def test_operator_from_constructor_checks_base_once(build, monkeypatch):
     monkeypatch.setattr(gtt.core, "make_base_matrix", counted)
     GTTOperator(build(), 2)
     assert len(calls) == 1
+
+
+ENCODE_ENTRIES = [
+    lambda s, k: encode_fidelity((0.5, 0.0, math.pi), s, k),
+    lambda s, k: optimize_theta(s, k, restarts=[0.5]),
+    lambda s, k: compare_transforms(s, k),
+    lambda s, k: compare_transforms(s, k, params=(0.5, 0.0, math.pi)),
+]
+ENCODE_IDS = ["encode_fidelity", "optimize_theta", "compare_transforms", "fixed_params"]
+UNIT8 = np.ones(8) / math.sqrt(8.0)
+
+
+@pytest.mark.parametrize("call", ENCODE_ENTRIES, ids=ENCODE_IDS)
+@pytest.mark.parametrize(
+    "signal, k, error",
+    [
+        (UNIT8.reshape(2, 4), 1, BadShape),
+        (np.ones(6) / math.sqrt(6.0), 1, BadShape),
+        (np.ones(1), 1, BadShape),
+        (2 * UNIT8, 1, NotNormalized),
+        (np.r_[np.nan, UNIT8[1:]], 1, NotNormalized),
+        (np.r_[np.inf, UNIT8[1:]], 1, NotNormalized),
+        (UNIT8, 0, BadK),
+        (UNIT8, 9, BadK),
+        (UNIT8, 2.5, BadK),
+    ],
+    ids=["matrix", "length-6", "length-1", "norm-2", "nan", "inf", "k-0", "k-9", "k-float"],
+)
+def test_encode_entries_check_signal_and_k(call, signal, k, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(signal, k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: encode_fidelity(a, UNIT8, 2),
+        lambda a: compare_transforms(UNIT8, 2, params=a),
+        lambda a: optimize_theta(UNIT8, 2, restarts=[a[0]]),
+    ],
+    ids=["encode_fidelity", "fixed_params", "restart"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_encode_entries_reject_non_finite_angles(call, bad):
+    with pytest.raises(BadShape):
+        call((bad, 0.0, math.pi))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_cli_rejects_non_finite_restart(token, tmp_path, capsys):
+    out = str(tmp_path / "enc.json")
+    rc = main(["encode", "--signal", "table2", "--k", "4", "--restarts", f"0.5,{token}",
+               "--out", out])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_optimize_theta_rejects_empty_restarts():
+    with pytest.raises(BadShape):
+        optimize_theta(builtin_signal("table2"), 4, restarts=[])
