@@ -54,13 +54,16 @@ def _frozen(W: np.ndarray) -> np.ndarray:
     return W
 
 
+_RAGGED = "matrix entries must form a rectangular array of numbers"
+
+
 def _complex_array(entries) -> np.ndarray:
     """``entries`` as a new complex array; BadShape if they are ragged or
     not numbers."""
     try:
         return np.array(entries, dtype=np.complex128)
     except (TypeError, ValueError):
-        raise BadShape("matrix entries must form a rectangular array of numbers") from None
+        raise BadShape(_RAGGED) from None
 
 
 def make_base_matrix(b: int, entries) -> np.ndarray:
@@ -132,20 +135,13 @@ def dft_matrix(b: int) -> np.ndarray:
     return _frozen(np.exp(2j * np.pi * np.outer(j, j) / b) / math.sqrt(b))
 
 
-def _kron(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """A tensor C, for matrices or for stacks of them, (..., a, a) and (..., c, c)."""
-    B = A.shape[-1] * C.shape[-1]
-    return (A[..., :, None, :, None] * C[..., None, :, None, :]).reshape(*A.shape[:-2], B, B)
-
-
 def _kron_power(W: np.ndarray, m: int) -> np.ndarray:
-    """W tensored m times, by square-and-multiply over the bits of m; a
-    stack (..., b, b) gives the stack of its powers."""
+    """W tensored m times, built by broadcast outer products; a stack
+    (..., b, b) gives the stack of its powers."""
     P = W
-    for bit in bin(m)[3:]:
-        P = _kron(P, P)
-        if bit == "1":
-            P = _kron(P, W)
+    for _ in range(m - 1):
+        B = P.shape[-1] * W.shape[-1]
+        P = (P[..., :, None, :, None] * W[..., None, :, None, :]).reshape(W.shape[:-2] + (B, B))
     return P
 
 
@@ -191,11 +187,13 @@ class GTTOperator:
     _inverse_passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        base = _complex_array(self.base)
-        # the longest side: make_base_matrix rejects any other shape
-        base = make_base_matrix(max(base.shape, default=0), base)
+        try:
+            # the longest side: make_base_matrix rejects any other shape
+            b = max(np.shape(self.base), default=0)
+        except ValueError:
+            raise BadShape(_RAGGED) from None
+        base = make_base_matrix(b, self.base)
         object.__setattr__(self, "base", base)
-        b = base.shape[0]
         n = _integer(self.n, 1, math.inf, BadShape, "tensor power")
         N = b**n
         if N > np.iinfo(np.intp).max:
@@ -271,7 +269,7 @@ def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     if N <= TILE:
         batch = x.shape[:-1]
         for R in reversed(passes):
-            x = x.reshape(batch + (R.shape[-1], -1)).mT @ R
+            x = x.reshape(batch + (R.shape[-1], -1)).swapaxes(-1, -2) @ R
         return x.reshape(batch + (N,))
     T, lead = passes[0].shape[0], 1
     while T * passes[lead].shape[0] <= TILE:
@@ -304,7 +302,7 @@ def _apply_bases(W: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     """
     if W.ndim == 3:
         x = np.broadcast_to(x, (W.shape[0], x.shape[-1]))
-    return _fast_apply(_blocked_passes(W.mT, n), x, None)
+    return _fast_apply(_blocked_passes(W.swapaxes(-1, -2), n), x, None)
 
 
 def _plan(op: GTTOperator, counter: OpCounter | None, inverse: bool) -> tuple:
