@@ -1,15 +1,21 @@
 """Command-line front-end: transform, compress, filter, encode, bench.
 
-Vectors travel as CSV (one "re,im" line per entry) or JSON (array of
-[re, im] pairs), selected by file extension; values are emitted with 17
-significant digits so files round-trip exactly.  Exit codes: 0 success,
-2 bad arguments or domain errors, 3 length mismatch, 4 non-unitary
-matrix file.
+Vectors travel as CSV or JSON, selected by file extension: a CSV line is
+one "re,im" entry (a lone value is real), a JSON file an array of
+[re, im] pairs.  A matrix file is CSV rows of interleaved re,im values,
+or JSON rows of [re, im] pairs.  One reader turns both formats into the
+same nested pairs and checks them once; a file that is not a rectangular
+array of finite numbers raises BadShape.  Output goes through one writer,
+with 17 significant digits so files round-trip exactly.  ``bench`` runs
+sizes up to b**n = BENCH_MAX_N and raises TooLarge above it.  Exit codes:
+0 success, 2 bad arguments, bad files or domain errors, 3 length
+mismatch, 4 non-unitary matrix file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -33,9 +39,14 @@ from .errors import (
     GTTError,
     LengthMismatch,
     NotUnitary,
+    TooLarge,
 )
 from .protocols import compress_fully_quantum, compress_hybrid, filter_natural
-from .signals import _normalized, builtin_signal
+from .signals import SIGNAL_NAMES, _normalized, builtin_signal
+
+# largest transform length ``bench`` runs: one complex vector of 2**24
+# entries is 256 MiB, and the timed calls hold a few of them at once
+BENCH_MAX_N = 2**24
 
 _ANGLE_TOKENS = {
     "pi": math.pi,
@@ -62,79 +73,78 @@ def _fmt(x: float) -> str:
 
 
 def _complex_pairs(data, ndim: int, path: str) -> np.ndarray:
-    """Complex array of rank ``ndim`` from JSON nested lists of [re, im]."""
-    try:
-        arr = np.array(data)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.shape[ndim:] != (2,):
+    """Finite complex array of rank ``ndim`` from nested [re, im] pairs."""
+    arr = np.array(data)  # ragged nesting raises ValueError
+    if arr.dtype.kind not in "iuf" or arr.shape[ndim:] != (2,):
         depth = "rows of " * (ndim - 1)
         raise BadShape(f"{path}: expected a list of {depth}[re, im] number pairs")
+    if not np.all(np.isfinite(arr)):
+        raise BadShape(f"{path}: entries must be finite")
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _finite(arr: np.ndarray, path: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise BadShape(f"{path}: entries must be finite")
-    return arr
+def _csv_entry(line: str, ndim: int):
+    """A CSV line nested as a JSON file nests it: a vector line is one
+    (re, im) entry (a lone value is real), a matrix line one row of
+    interleaved re,im values (tuples: smaller than lists)."""
+    vals = tuple(map(float, line.split(",")))
+    if ndim == 1:
+        return vals + (0.0,) if len(vals) == 1 else vals
+    return [vals[i : i + 2] for i in range(0, len(vals), 2)]
+
+
+def _read(path: str, ndim: int) -> np.ndarray:
+    """Complex array of rank ``ndim`` from a .json or CSV file; BadShape for
+    any content that is not one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if path.endswith(".json"):
+                data = json.load(fh)
+            else:
+                data = [_csv_entry(line, ndim) for line in fh if line.strip()]
+        return _complex_pairs(data, ndim, path)
+    except (ValueError, RecursionError) as exc:
+        # a token that is not a number, JSON that does not parse, bytes that
+        # are not UTF-8, ragged rows, nesting deeper than the recursion limit
+        raise BadShape(f"{path}: {exc}") from None
 
 
 def read_vector(path: str) -> np.ndarray:
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return _finite(_complex_pairs(json.load(fh), 1, path), path)
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) == 1:
-                entries.append(complex(float(parts[0]), 0.0))
-            elif len(parts) == 2:
-                entries.append(complex(float(parts[0]), float(parts[1])))
-            else:
-                raise BadShape(f"bad CSV vector line: {line!r}")
-    if not entries:
-        raise BadShape(f"empty vector file: {path}")
-    return _finite(np.array(entries, dtype=np.complex128), path)
+    """Vector file: CSV lines "re,im" (or "re"), or JSON [[re, im], ...]."""
+    return _read(path, 1)
+
+
+def read_matrix(path: str) -> np.ndarray:
+    """Matrix file: CSV rows of interleaved re,im values, or JSON rows of
+    [re, im] pairs."""
+    return _read(path, 2)
+
+
+def _pairs(v) -> list:
+    """[re, im] pairs of Python floats, the inverse of ``_complex_pairs``."""
+    return np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+
+
+def _emit(lines, path: str | None) -> None:
+    """Write the strings of ``lines`` to the file at ``path``, or to stdout
+    when it is None; a generator is written as it is consumed."""
+    if path is None:
+        sys.stdout.writelines(lines)
+        return
+    with open(path, "w") as fh:
+        fh.writelines(lines)
 
 
 def write_vector(v: np.ndarray, path: str | None) -> None:
     v = np.asarray(v, dtype=np.complex128)
-    if path is None:
-        for z in v:
-            sys.stdout.write(f"{_fmt(z.real)},{_fmt(z.imag)}\n")
-        return
-    if path.endswith(".json"):
-        pairs = [[float(z.real), float(z.imag)] for z in v]
-        with open(path, "w") as fh:
-            json.dump(pairs, fh)
-            fh.write("\n")
-        return
-    with open(path, "w") as fh:
-        for z in v:
-            fh.write(f"{_fmt(z.real)},{_fmt(z.imag)}\n")
+    if path is not None and path.endswith(".json"):
+        _emit([json.dumps(_pairs(v)), "\n"], path)
+    else:
+        _emit((f"{_fmt(z.real)},{_fmt(z.imag)}\n" for z in v), path)
 
 
-def read_matrix(path: str) -> np.ndarray:
-    """b x b complex matrix: JSON rows of [re, im] pairs, or CSV rows with
-    2b interleaved re,im values."""
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return _finite(_complex_pairs(json.load(fh), 2, path), path)
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vals = [float(t) for t in line.split(",")]
-            if len(vals) % 2 != 0:
-                raise BadShape(f"matrix row needs re,im pairs: {line!r}")
-            rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
-    return _finite(np.array(rows, dtype=np.complex128), path)
+def _write_json(report: dict, path: str | None) -> None:
+    _emit([json.dumps(report, indent=2, allow_nan=False), "\n"], path)
 
 
 def parse_base(spec: str) -> np.ndarray:
@@ -153,22 +163,9 @@ def parse_base(spec: str) -> np.ndarray:
 
 
 def _load_signal(spec: str) -> np.ndarray:
-    if spec.lower() in ("s1", "s2", "s3", "table2"):
+    if spec.lower() in SIGNAL_NAMES:
         return builtin_signal(spec)
     return read_vector(spec)
-
-
-def _write_json(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False)
-    if path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _pairs(v) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
 
 
 def cmd_transform(args) -> int:
@@ -212,12 +209,11 @@ def cmd_filter(args) -> int:
     write_vector(out.high_branch, f"{prefix}.high.csv")
     write_vector(out.low_spectrum, f"{prefix}.low_spectrum.csv")
     write_vector(out.high_spectrum, f"{prefix}.high_spectrum.csv")
-    with open(f"{prefix}.stems.tsv", "w") as fh:
-        fh.write("index\tlow\thigh\n")
-        for i in range(op.N):
-            fh.write(
-                f"{i}\t{_fmt(abs(out.low_branch[i]))}\t{_fmt(abs(out.high_branch[i]))}\n"
-            )
+    stems = (
+        f"{i}\t{_fmt(abs(lo))}\t{_fmt(abs(hi))}\n"
+        for i, (lo, hi) in enumerate(zip(out.low_branch, out.high_branch))
+    )
+    _emit(itertools.chain(["index\tlow\thigh\n"], stems), f"{prefix}.stems.tsv")
     return 0
 
 
@@ -256,6 +252,8 @@ def cmd_bench(args) -> int:
         for n_str in args.sizes.split(","):
             n = int(n_str)
             op = GTTOperator(W, n)
+            if op.N > BENCH_MAX_N:
+                raise TooLarge(f"bench size b**n = {op.N} exceeds {BENCH_MAX_N}")
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             # counted calls run one level per pass; time uncounted calls,
             # the blocked kernel that callers get, as the median of five

@@ -68,9 +68,9 @@ class EncodingReport:
 
 
 def discretize_midpoints(f: Callable[[float], float], N: int) -> np.ndarray:
-    """Sample f at x_t = (2t+1)/(2N) and normalize to unit norm."""
-    if N < 1:
-        raise BadShape(f"N must be positive, got {N}")
+    """Sample f at x_t = (2t+1)/(2N) and normalize to unit norm; BadShape
+    unless N is a positive integer."""
+    N = _integer(N, 1, math.inf, BadShape, "N")
     xs = (2 * np.arange(N) + 1) / (2 * N)
     v = np.array([f(x) for x in xs], dtype=np.complex128)
     if not np.all(np.isfinite(v)):
@@ -183,18 +183,21 @@ def _scan_and_refine(obj: _Objective, lo: float, hi: float, points: int) -> tupl
     """Grid scan of [lo, hi], then golden refinement around the best point.
 
     The objective has kinks wherever the top-k index set changes, so a
-    coarse scan locates the best basin before the unimodal refinement; the
-    grid point is kept when it beats the refined one.
+    coarse scan locates the best basin before the unimodal refinement.
+    Values within _TIE_TOL tie: the scan takes the first grid point within
+    it of the minimum, and keeps that point unless the refined one beats it
+    by more, so rounding noise on a flat objective (every angle at k = N)
+    does not pick the angle.
     """
     grid = np.linspace(lo, hi, points)
     values = obj.scan(grid)
-    i = int(np.argmin(values))
+    i = int(np.argmax(values <= values.min() + _TIE_TOL))
     a = grid[max(0, i - 1)]
     b = grid[min(points - 1, i + 1)]
     theta, value = _golden_section(obj, a, b)
-    if values[i] < value:
-        return float(grid[i]), float(values[i])
-    return theta, value
+    if value < values[i] - _TIE_TOL:
+        return theta, value
+    return float(grid[i]), float(values[i])
 
 
 def default_restarts() -> list[float]:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .encode import discretize_midpoints
 from .errors import IndexOutOfRange, ZeroVector
 
 _S1 = [
@@ -28,6 +29,12 @@ _S3 = [
     0.718 - 0.101j, -0.370 + 0.108j, -0.370 + 0.015j, -0.242 - 0.082j,
     -0.237 + 0.101j, 0.128 - 0.085j, 0.147 - 0.052j, 0.091 - 0.028j,
 ]
+
+
+_STATES = {"s1": _S1, "s2": _S2, "s3": _S3}
+
+# the names builtin_signal accepts
+SIGNAL_NAMES = (*_STATES, "table2")
 
 
 def perturbed_polynomial(x: float) -> float:
@@ -50,13 +57,8 @@ def _normalized(values) -> np.ndarray:
 def builtin_signal(name: str) -> np.ndarray:
     """Return a named unit-norm signal: "s1", "s2", "s3", or "table2"."""
     key = name.strip().lower()
-    if key == "s1":
-        return _normalized(_S1)
-    if key == "s2":
-        return _normalized(_S2)
-    if key == "s3":
-        return _normalized(_S3)
+    if key in _STATES:
+        return _normalized(_STATES[key])
     if key == "table2":
-        xs = (2 * np.arange(16) + 1) / 32.0
-        return _normalized([perturbed_polynomial(x) for x in xs])
+        return discretize_midpoints(perturbed_polynomial, 16)
     raise IndexOutOfRange(f"unknown built-in signal {name!r}")

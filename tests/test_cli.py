@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtt import BadShape
 from gtt.cli import main, parse_angle, read_matrix, read_vector, write_vector
@@ -158,6 +162,64 @@ def test_non_finite_matrix_rejected(tmp_path, name, text):
         read_matrix(str(mfile))
 
 
+MALFORMED = [
+    ("abc.csv", b"1,0\nabc\n"),
+    ("bytes.csv", b"\xff\xfe"),
+    ("bytes.json", b"\xff\xfe"),
+    ("truncated.json", b"[[1, 0], [0,"),
+    ("deep.json", b"[" * 100000),
+    ("ragged.csv", b"1,0,0,0\n1,0\n"),
+]
+
+
+@pytest.mark.parametrize("name,content", MALFORMED, ids=[m[0] for m in MALFORMED])
+@pytest.mark.parametrize("kind", ["vector", "matrix"])
+def test_malformed_file_is_bad_shape(tmp_path, capsys, kind, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    good = tmp_path / "good.csv"
+    write_csv(good, [1.0, 0.0])
+    if kind == "vector":
+        read, args = read_vector, ["transform", str(bad), "--base", "hadamard", "--n", "1"]
+    else:
+        read, args = read_matrix, ["transform", str(good), "--base", str(bad), "--n", "1"]
+    with pytest.raises(BadShape):
+        read(str(bad))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert str(bad) in captured.err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=16,
+)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.text(alphabet="0123456789.,-+eEinfa[] \n", max_size=64).map(str.encode),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+)
+
+
+@given(st.sampled_from([".csv", ".json"]), _FILE_BYTES)
+@settings(max_examples=300, deadline=None)
+def test_readers_return_finite_array_or_bad_shape(suffix, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(content)
+        for read, ndim in ((read_vector, 1), (read_matrix, 2)):
+            try:
+                arr = read(path)
+            except BadShape:
+                continue
+            assert arr.dtype == np.complex128 and arr.ndim == ndim
+            assert arr.size > 0 and np.all(np.isfinite(arr))
+
+
 def test_compress_report(tmp_path):
     out = str(tmp_path / "report.json")
     rc = main(
@@ -242,6 +304,16 @@ def test_bench_report(tmp_path):
         assert row["total"] <= 4 * row["N"] * row["b"] * row["n"]
 
 
+@pytest.mark.parametrize(
+    "args", [["--sizes", "40"], ["--bases", "dft:3", "--sizes", "30"]], ids=["2^40", "3^30"]
+)
+def test_bench_oversized_is_too_large(capsys, args):
+    assert main(["bench"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds" in captured.err and "Traceback" not in captured.err
+
+
 def test_bench_n1_base_case():
     # a single level performs exactly one b x b matvec worth of multiplies
     from gtt import GTTOperator, OpCounter, gtt_apply, hadamard
@@ -261,3 +333,104 @@ def test_deterministic_outputs(tmp_path):
         assert main(["transform", src, "--base", "hadamard", "--n", "3", "--out", out]) == 0
         outs.append(open(out).read())
     assert outs[0] == outs[1]
+
+
+def _csv_text(v) -> str:
+    return "".join(f"{format(z.real, '.17g')},{format(z.imag, '.17g')}\n" for z in v)
+
+
+def _json_pairs(v) -> str:
+    return json.dumps([[float(z.real), float(z.imag)] for z in v]) + "\n"
+
+
+def _report_text(report) -> str:
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_transform_output_format(tmp_path, capsys, inverse):
+    from gtt import GTTOperator, dft_matrix, gtt_apply, gtt_inverse_apply
+
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    src = str(tmp_path / "in.csv")
+    write_csv(src, v)
+    op = GTTOperator(dft_matrix(3), 2)
+    y = gtt_inverse_apply(op, v) if inverse else gtt_apply(op, v)
+    args = ["transform", src, "--base", "dft:3", "--n", "2"] + ["--inverse"] * inverse
+    assert main(args) == 0
+    assert capsys.readouterr().out == _csv_text(y)
+    for name, expected in (("out.csv", _csv_text(y)), ("out.json", _json_pairs(y))):
+        out = tmp_path / name
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_text() == expected
+
+
+def test_compress_and_encode_output_format(tmp_path, capsys):
+    from gtt import (
+        GTTOperator,
+        builtin_signal,
+        compress_fully_quantum,
+        compress_hybrid,
+        hadamard,
+        optimize_theta,
+    )
+
+    state = builtin_signal("s2")
+    op = GTTOperator(hadamard(), 3)
+    result = compress_hybrid(state, op, 3)
+    outcome = compress_fully_quantum(state, op, result.selection)
+    pairs = lambda v: [[float(z.real), float(z.imag)] for z in v]  # noqa: E731
+    expected = {
+        "indices": list(result.selection.indices),
+        "k": result.selection.k,
+        "mass": result.selection.mass,
+        "compressed": pairs(result.compressed),
+        "fidelity": result.fidelity,
+        "discarded_norm": result.discarded_norm,
+        "reconstructed": pairs(result.reconstructed),
+        "success_probability": outcome.success_probability,
+        "transmitted": pairs(outcome.transmitted),
+    }
+    args = ["compress", "s2", "--base", "hadamard", "--n", "3", "--k", "3", "--mode", "quantum"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == _report_text(expected)
+
+    report = optimize_theta(builtin_signal("table2"), 8)
+    expected = {
+        "k": 8,
+        "theta": report.optimal_params.theta,
+        "phi": report.optimal_params.phi,
+        "lambda": report.optimal_params.lam,
+        "gtt_fidelity": report.gtt_fidelity,
+        "hadamard_fidelity": report.hadamard_fidelity,
+        "dft_fidelity": report.dft_fidelity,
+        "optimizer_evals": report.optimizer_evals,
+    }
+    out = tmp_path / "enc.json"
+    assert main(["encode", "--signal", "table2", "--k", "8", "--out", str(out)]) == 0
+    assert out.read_text() == _report_text(expected)
+
+
+def test_filter_output_format(tmp_path):
+    from gtt import GTTOperator, filter_natural, u3
+
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(16)
+    src = str(tmp_path / "sig.csv")
+    write_csv(src, v)
+    prefix = str(tmp_path / "flt")
+    assert main(["filter", src, "--theta", "pi/4", "--n", "4", "--cutoff", "5",
+                 "--out-prefix", prefix]) == 0
+    state = v.astype(np.complex128) / np.linalg.norm(v.astype(np.complex128))
+    out = filter_natural(state, GTTOperator(u3(math.pi / 4, 0.0, math.pi), 4), 5)
+    for suffix, w in (("low", out.low_branch), ("high", out.high_branch),
+                      ("low_spectrum", out.low_spectrum), ("high_spectrum", out.high_spectrum)):
+        with open(f"{prefix}.{suffix}.csv") as fh:
+            assert fh.read() == _csv_text(w)
+    stems = "index\tlow\thigh\n" + "".join(
+        f"{i}\t{format(abs(lo), '.17g')}\t{format(abs(hi), '.17g')}\n"
+        for i, (lo, hi) in enumerate(zip(out.low_branch, out.high_branch))
+    )
+    with open(f"{prefix}.stems.tsv") as fh:
+        assert fh.read() == stems

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import gtt.core
 import gtt.encode
 from gtt import (
+    BadShape,
     GTTOperator,
     ZeroVector,
     builtin_signal,
@@ -39,6 +40,11 @@ class TestDiscretize:
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
             discretize_midpoints(lambda x: 0.0, 4)
+
+    @pytest.mark.parametrize("N", [2.5, 16.0, 0, -4])
+    def test_non_integer_or_non_positive_N_rejected(self, N):
+        with pytest.raises(BadShape):
+            discretize_midpoints(lambda x: 1.0, N)
 
     def test_table2_signal_matches(self):
         from gtt import perturbed_polynomial
@@ -116,6 +122,17 @@ class TestOptimizeTheta:
         base = optimize_theta(sig, 8)
         full = optimize_theta(sig, 8, vary_all=True)
         assert full.gtt_fidelity >= base.gtt_fidelity - 1e-12
+
+    @pytest.mark.parametrize(
+        "signal",
+        [builtin_signal("table2"), discretize_midpoints(lambda x: math.sin(3 * x) + x * x, 64)],
+        ids=["table2", "smooth64"],
+    )
+    def test_k_equal_N_gives_theta_zero(self, signal):
+        # every angle retains all the mass, so the tie rule picks the smallest
+        report = optimize_theta(signal, signal.size)
+        assert report.optimal_params.theta == 0.0
+        assert abs(report.gtt_fidelity - 1.0) < 1e-12
 
     @pytest.mark.parametrize(
         "k, fidelity, evals",
