@@ -99,7 +99,12 @@ def _read(path: str, ndim: int) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             if path.endswith(".json"):
-                data = json.load(fh)
+                text = fh.read()
+                # strings are rejected, so these words appear in a numeric
+                # file only as booleans, which numpy would cast to 1 and 0
+                if "true" in text or "false" in text:
+                    raise BadShape(f"{path}: entries must be numbers, not true or false")
+                data = json.loads(text)
             else:
                 data = [_csv_entry(line, ndim) for line in fh if line.strip()]
         return _complex_pairs(data, ndim, path)
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("encode", help="optimize theta for top-k fidelity")
     e.add_argument("--signal", required=True, help="vector file or s1|s2|s3|table2")
     e.add_argument("--k", type=int, required=True)
-    e.add_argument("--restarts", default=None, help="comma-separated theta seeds")
+    e.add_argument("--restarts", default=None, help="comma-separated theta seeds in [0, 2*pi]")
     e.add_argument("--theta", default=None, help="skip optimization, evaluate this angle")
     e.add_argument("--vary-all", action="store_true", help="also tune phi and lambda")
     e.add_argument("--out", default=None)

@@ -5,12 +5,11 @@ into an amplitude vector, and compressed by top-k truncation in the
 u3(theta, 0, pi) tensor-power basis.  The fidelity of a renormalized top-k
 truncation equals the retained top-k mass of one forward transform, so that
 mass is the objective: an evaluation builds no operator and runs no inverse
-transform.  The angle theta is tuned by a derivative-free search; each grid
-scan is one batched kernel call over all its angles, and golden-section
-steps refine the best grid point.  Hadamard and full-size DFT bases are
-evaluated alongside for comparison.  Signals, k and angles are validated
-once, where they enter ``encode_fidelity``, ``optimize_theta`` or
-``compare_transforms``.
+transform.  Every search is one line search over one angle: a grid scan as
+one batched kernel call, then golden-section steps around the best grid
+point.  Hadamard and full-size DFT bases are evaluated alongside for
+comparison.  Signals, k, angles and restart seeds are validated once, where
+they enter ``encode_fidelity``, ``optimize_theta`` or ``compare_transforms``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,12 @@ from .errors import BadK, BadShape, ZeroVector
 # encode.compress_hybrid
 from .protocols import _check_state, compress_hybrid  # noqa: F401
 
+# golden-section ratio, and the bracket width at which refinement stops
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-8
+
+# coordinate cycles of the vary_all search
+_CYCLES = 3
 
 # fidelity differences below this are treated as ties (broken toward the
 # smaller angle) so the optimizer output is deterministic
@@ -128,7 +132,7 @@ def _retained_mass(signal: np.ndarray, k: int, angles: np.ndarray) -> np.ndarray
 def encode_fidelity(params, signal, k: int) -> float:
     """Compression fidelity of the signal in the u3(params) power basis."""
     signal, k = _check_signal(signal, k)
-    return float(_retained_mass(signal, k, np.array([params], dtype=np.float64))[0])
+    return float(_retained_mass(signal, k, np.array([_check_params(params)]))[0])
 
 
 def _dft_fidelity(signal, k: int) -> float:
@@ -137,67 +141,48 @@ def _dft_fidelity(signal, k: int) -> float:
     return float(_top_k_mass(np.fft.ifft(signal, norm="ortho"), k))
 
 
-class _Objective:
-    """Negated retained mass along one angle of (theta, phi, lam), the
-    others held at ``params``; counts every angle it evaluates."""
+def _line_search(signal, k, params, axis: int, lo: float, hi: float, points: int):
+    """Minimize 1 - retained mass over angle ``axis`` of (theta, phi, lam)
+    on [lo, hi], the other two held at ``params``; returns (angle, value,
+    evaluations).
 
-    def __init__(self, signal, k, params=(0.0, 0.0, math.pi), axis=0):
-        self.signal = signal
-        self.k = k
-        self.params = tuple(params)
-        self.axis = axis
-        self.evals = 0
+    A grid of ``points`` angles runs as one evaluator call, then golden
+    steps of one angle each refine the bracket around the best grid point:
+    the objective has kinks wherever the top-k index set changes, so the
+    coarse scan locates the basin.  Values within _TIE_TOL tie: the scan
+    takes the first grid point within it of the minimum, and keeps that
+    point unless the refined one beats it by more, so rounding noise on a
+    flat objective (every angle at k = N) does not pick the angle.
+    """
 
-    def scan(self, values) -> np.ndarray:
-        """The objective at each of ``values``, as one evaluator call."""
+    def objective(values) -> np.ndarray:
         angles = np.empty((len(values), 3))
-        angles[:] = self.params
-        angles[:, self.axis] = values
-        self.evals += len(values)
-        return 1.0 - _retained_mass(self.signal, self.k, angles)
+        angles[:] = params
+        angles[:, axis] = values
+        return 1.0 - _retained_mass(signal, k, angles)
 
-    def __call__(self, value: float) -> float:
-        return float(self.scan((value,))[0])
-
-
-def _golden_section(obj, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section minimum of obj on [lo, hi]; returns (theta, value)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > tol:
+    grid = np.linspace(lo, hi, points)
+    values = objective(grid)
+    i = int(np.argmax(values <= values.min() + _TIE_TOL))
+    a, b = grid[max(0, i - 1)], grid[min(points - 1, i + 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = objective((c,))[0], objective((d,))[0]
+    evals = points + 3
+    while b - a > _GOLDEN_TOL:
+        evals += 1
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = obj(c)
+            fc = objective((c,))[0]
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = obj(d)
-    theta = (a + b) / 2.0
-    return theta, obj(theta)
-
-
-def _scan_and_refine(obj: _Objective, lo: float, hi: float, points: int) -> tuple[float, float]:
-    """Grid scan of [lo, hi], then golden refinement around the best point.
-
-    The objective has kinks wherever the top-k index set changes, so a
-    coarse scan locates the best basin before the unimodal refinement.
-    Values within _TIE_TOL tie: the scan takes the first grid point within
-    it of the minimum, and keeps that point unless the refined one beats it
-    by more, so rounding noise on a flat objective (every angle at k = N)
-    does not pick the angle.
-    """
-    grid = np.linspace(lo, hi, points)
-    values = obj.scan(grid)
-    i = int(np.argmax(values <= values.min() + _TIE_TOL))
-    a = grid[max(0, i - 1)]
-    b = grid[min(points - 1, i + 1)]
-    theta, value = _golden_section(obj, a, b)
+            fd = objective((d,))[0]
+    angle = (a + b) / 2.0
+    value = objective((angle,))[0]
     if value < values[i] - _TIE_TOL:
-        return theta, value
-    return float(grid[i]), float(values[i])
+        return angle, float(value), evals
+    return float(grid[i]), float(values[i]), evals
 
 
 def default_restarts() -> list[float]:
@@ -205,27 +190,30 @@ def default_restarts() -> list[float]:
     return list(np.linspace(0.0, math.pi / 4.0, 16)) + [math.pi / 2.0]
 
 
+def _finite_angles(values, expected: str, size: int = 0) -> list[float]:
+    """``values`` as a list of floats; BadShape saying what was
+    ``expected`` unless it is a non-empty flat list of finite real numbers,
+    ``size`` of them when given."""
+    try:
+        angles = np.asarray(values)
+    except ValueError:  # ragged nesting
+        angles = np.asarray(None)
+    bad_shape = angles.ndim != 1 or angles.size == 0 or size and angles.size != size
+    if angles.dtype.kind not in "iuf" or bad_shape or not np.isfinite(angles).all():
+        raise BadShape(f"{expected}, got {values!r}")
+    return angles.astype(np.float64).tolist()
+
+
+def _check_params(params) -> U3Params:
+    return U3Params(*_finite_angles(params, "params must be three finite angles", 3))
+
+
 def _check_restarts(restarts) -> list[float]:
-    seeds = np.asarray(restarts, dtype=np.float64)
-    if seeds.ndim != 1 or seeds.size == 0 or not np.isfinite(seeds).all():
-        raise BadShape(f"restarts must be a non-empty list of finite angles, got {restarts!r}")
-    return seeds.tolist()
-
-
-def _coordinate_descent(signal, k, theta0: float, cycles: int = 3):
-    """Optional full (theta, phi, lam) search by cyclic golden sections."""
-    params = [theta0, 0.0, math.pi]
-    evals = 1
-    best = 1.0 - _retained_mass(signal, k, np.array([params]))[0]
-    for _ in range(cycles):
-        for i in range(3):
-            slice_obj = _Objective(signal, k, params, axis=i)
-            v_star, f_star = _scan_and_refine(slice_obj, 0.0, 2.0 * math.pi, 65)
-            evals += slice_obj.evals
-            if f_star < best - _TIE_TOL:
-                params[i] = v_star
-                best = f_star
-    return U3Params(*params), float(1.0 - best), evals
+    expected = "restarts must be a non-empty list of finite angles in [0, 2*pi]"
+    seeds = _finite_angles(restarts, expected)
+    if min(seeds) < 0.0 or max(seeds) > 2.0 * math.pi:
+        raise BadShape(f"{expected}, got {restarts!r}")
+    return seeds
 
 
 def optimize_theta(
@@ -236,41 +224,39 @@ def optimize_theta(
 ) -> EncodingReport:
     """Maximize compression fidelity over theta with phi = 0, lam = pi.
 
-    Runs a bracketed derivative-free search from every restart seed and
-    keeps the best angle, ties broken toward the smaller theta.  With
-    ``vary_all`` a cyclic search over all three angles follows.  Restart
-    seeds must be finite (BadShape).
+    Runs a line search on [seed - pi/4, seed + pi/4], clipped to
+    [0, 2*pi], from every restart seed and keeps the best angle, ties
+    broken toward the smaller theta.  With ``vary_all``, _CYCLES cycles of
+    line searches over each of the three angles on [0, 2*pi] follow.
+    Restart seeds must be finite angles in [0, 2*pi] (BadShape).
     """
     signal, k = _check_signal(signal, k)
     seeds = default_restarts() if restarts is None else _check_restarts(restarts)
-    obj = _Objective(signal, k)
-    best_theta, best_value = None, np.inf
+    best_theta, best_value, evals = None, np.inf, 0
     for seed in sorted(seeds):
-        lo = max(0.0, seed - _HALF_WIDTH)
-        hi = min(2.0 * math.pi, seed + _HALF_WIDTH)
-        theta, value = _scan_and_refine(obj, lo, hi, 33)
-        if value < best_value - _TIE_TOL or (
-            abs(value - best_value) <= _TIE_TOL and theta < best_theta
-        ):
+        bracket = max(0.0, seed - _HALF_WIDTH), min(2.0 * math.pi, seed + _HALF_WIDTH)
+        theta, value, n = _line_search(signal, k, (0.0, 0.0, math.pi), 0, *bracket, 33)
+        evals += n
+        tied = abs(value - best_value) <= _TIE_TOL and theta < best_theta
+        if value < best_value - _TIE_TOL or tied:
             best_theta, best_value = theta, value
     params = U3Params(best_theta, 0.0, math.pi)
     gtt_fid = 1.0 - best_value
-    evals = obj.evals
     if vary_all:
-        params, fid3, extra = _coordinate_descent(signal, k, best_theta)
-        evals += extra
-        if fid3 > gtt_fid + _TIE_TOL:
-            gtt_fid = fid3
-        else:
-            params = U3Params(best_theta, 0.0, math.pi)
-    return EncodingReport(
-        k=k,
-        optimal_params=params,
-        gtt_fidelity=gtt_fid,
-        hadamard_fidelity=float(_retained_mass(signal, k, np.array([_HADAMARD]))[0]),
-        dft_fidelity=_dft_fidelity(signal, k),
-        optimizer_evals=evals,
-    )
+        angles = list(params)
+        best = 1.0 - _retained_mass(signal, k, np.array([angles]))[0]
+        evals += 1
+        for _ in range(_CYCLES):
+            for axis in range(3):
+                angle, value, n = _line_search(signal, k, angles, axis, 0.0, 2.0 * math.pi, 65)
+                evals += n
+                if value < best - _TIE_TOL:
+                    angles[axis], best = angle, value
+        fid = float(1.0 - best)
+        if fid > gtt_fid + _TIE_TOL:
+            params, gtt_fid = U3Params(*angles), fid
+    hadamard_fid = float(_retained_mass(signal, k, np.array([_HADAMARD]))[0])
+    return EncodingReport(k, params, gtt_fid, hadamard_fid, _dft_fidelity(signal, k), evals)
 
 
 def compare_transforms(signal, k: int, params=None) -> EncodingReport:
@@ -282,13 +268,6 @@ def compare_transforms(signal, k: int, params=None) -> EncodingReport:
     if params is None:
         return optimize_theta(signal, k)
     signal, k = _check_signal(signal, k)
-    params = U3Params(*params)
-    gtt_fid, hadamard_fid = _retained_mass(signal, k, np.array([params, _HADAMARD]))
-    return EncodingReport(
-        k=k,
-        optimal_params=params,
-        gtt_fidelity=float(gtt_fid),
-        hadamard_fidelity=float(hadamard_fid),
-        dft_fidelity=_dft_fidelity(signal, k),
-        optimizer_evals=1,
-    )
+    params = _check_params(params)
+    gtt_fid, hadamard_fid = _retained_mass(signal, k, np.array([params, _HADAMARD])).tolist()
+    return EncodingReport(k, params, gtt_fid, hadamard_fid, _dft_fidelity(signal, k), 1)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -169,6 +171,8 @@ MALFORMED = [
     ("truncated.json", b"[[1, 0], [0,"),
     ("deep.json", b"[" * 100000),
     ("ragged.csv", b"1,0,0,0\n1,0\n"),
+    ("bools.json", b"[[true, 0], [0, false]]"),
+    ("bool-rows.json", b"[[[1, 0], [0, 0]], [[0, 0], [true, 0]]]"),
 ]
 
 
@@ -291,6 +295,39 @@ def test_encode_optimized_sparse_instance(tmp_path):
     assert main(["encode", "--signal", src, "--k", "2", "--out", out]) == 0
     report = json.load(open(out))
     assert report["gtt_fidelity"] >= 1.0 - 1e-9
+
+
+_ANGLE_TOKEN = st.one_of(
+    st.floats(0.0, 2 * math.pi).map(repr),
+    st.floats(-10.0, 20.0).map(repr),
+    st.sampled_from(["0", "pi", "pi/2", "-pi/4", "nan", "inf", "1e300", "", "a"]),
+    st.text(max_size=4),
+)
+
+
+@given(
+    st.one_of(st.integers(1, 16).map(str), st.integers(-2, 20).map(str), st.text(max_size=4)),
+    st.one_of(
+        st.lists(_ANGLE_TOKEN, min_size=1, max_size=3).map(",".join),
+        _ANGLE_TOKEN,
+        st.text(max_size=8),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_encode_exits_0_or_2_without_traceback(k, restarts):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["encode", "--signal", "table2", "--k", k, "--restarts", restarts]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the token
+            rc = exc.code
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        report = json.loads(out.getvalue())
+        for name in ("theta", "phi", "lambda"):
+            assert 0.0 <= report[name] <= 2 * math.pi
 
 
 def test_bench_report(tmp_path):

@@ -143,6 +143,23 @@ class TestOptimizeTheta:
         assert abs(report.gtt_fidelity - fidelity) < 1e-12
         assert report.optimizer_evals == evals
 
+    @pytest.mark.parametrize(
+        "k, options, theta, fidelity, evals",
+        [
+            (4, {"vary_all": True}, 2.5753144993832904, 0.8390609720447285, 2100),
+            (8, {"vary_all": True}, 2.7128282409549582, 0.9570487283963889, 2080),
+            (12, {"vary_all": True}, 2.9136542274146864, 0.9985158401191383, 2099),
+            (4, {"restarts": [math.pi / 4]}, 0.8761631237563652, 0.8076635819972633, 70),
+            (8, {"restarts": [math.pi / 4]}, 0.0, 0.9549350769474223, 69),
+        ],
+        ids=["vary_all-4", "vary_all-8", "vary_all-12", "one-restart-4", "one-restart-8"],
+    )
+    def test_table2_golden_options(self, k, options, theta, fidelity, evals):
+        report = optimize_theta(builtin_signal("table2"), k, **options)
+        assert abs(report.optimal_params.theta - theta) < 1e-9
+        assert abs(report.gtt_fidelity - fidelity) < 1e-12
+        assert report.optimizer_evals == evals
+
 
 class TestCompareTransforms:
     def test_s1_row(self):
@@ -194,6 +211,19 @@ class TestCompareTransforms:
 def random_state(rng, N):
     x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     return x / np.linalg.norm(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 2 * math.pi), st.data())
+def test_optimizer_report_is_consistent(n, seed, restart, data):
+    N = 2**n
+    k = data.draw(st.integers(1, N))
+    state = random_state(np.random.default_rng(seed), N)
+    report = optimize_theta(state, k, restarts=[restart])
+    assert 0.0 <= report.optimal_params.theta <= 2 * math.pi
+    assert k / N - 1e-12 <= report.gtt_fidelity <= 1.0 + 1e-12
+    refit = encode_fidelity(report.optimal_params, state, k)
+    assert abs(refit - report.gtt_fidelity) < 1e-12
 
 
 class TestRetainedMass:

@@ -119,6 +119,18 @@ def _reconstruct(indices, amplitudes):
         (lambda: dft_matrix(2.5), BadShape),
         (lambda: GTTOperator([[1, 0], [0]], 1), BadShape),
         (lambda: make_base_matrix(2, [[1, 0], [0]]), BadShape),
+        (lambda: encode_fidelity((0.3, 0.0), builtin_signal("table2"), 4), BadShape),
+        (lambda: encode_fidelity((0.3, 0.0, 1.0, 2.0), builtin_signal("table2"), 4), BadShape),
+        (lambda: encode_fidelity(("a", 0, 1), builtin_signal("table2"), 4), BadShape),
+        (lambda: encode_fidelity(((0.3,), 0, 1), builtin_signal("table2"), 4), BadShape),
+        (lambda: encode_fidelity(0.3, builtin_signal("table2"), 4), BadShape),
+        (lambda: compare_transforms(builtin_signal("table2"), 4, params=(0.3, 0.0)), BadShape),
+        (lambda: compare_transforms(builtin_signal("table2"), 4, params=(1j, 0, 0)), BadShape),
+        (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=["a"]), BadShape),
+        (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[[0.1, 0.2]]), BadShape),
+        (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[100.0]), BadShape),
+        (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[-10.0]), BadShape),
+        (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[1e300]), BadShape),
     ],
     ids=[
         "make_selection-float",
@@ -145,6 +157,18 @@ def _reconstruct(indices, amplitudes):
         "dft_matrix-float-size",
         "operator-ragged-base",
         "make_base_matrix-ragged",
+        "encode_fidelity-two-angles",
+        "encode_fidelity-four-angles",
+        "encode_fidelity-string-angle",
+        "encode_fidelity-ragged-angles",
+        "encode_fidelity-scalar-params",
+        "fixed_params-two-angles",
+        "fixed_params-complex-angle",
+        "restarts-string",
+        "restarts-nested",
+        "restarts-above-2pi",
+        "restarts-negative",
+        "restarts-huge",
     ],
 )
 def test_probe_raises(call, error):
@@ -250,3 +274,16 @@ def test_cli_rejects_non_finite_restart(token, tmp_path, capsys):
 def test_optimize_theta_rejects_empty_restarts():
     with pytest.raises(BadShape):
         optimize_theta(builtin_signal("table2"), 4, restarts=[])
+
+
+@pytest.mark.parametrize("token", ["100", "-10", "1e300"])
+def test_cli_rejects_restart_outside_domain(token, tmp_path, capsys):
+    out = str(tmp_path / "enc.json")
+    rc = main(["encode", "--signal", "table2", "--k", "4", "--restarts", token, "--out", out])
+    assert rc == 2
+    assert "[0, 2*pi]" in capsys.readouterr().err
+
+
+def test_optimize_theta_accepts_domain_ends():
+    report = optimize_theta(builtin_signal("table2"), 4, restarts=[0.0, 2 * math.pi])
+    assert 0.0 <= report.optimal_params.theta <= 2 * math.pi
