@@ -75,7 +75,7 @@ def sample_matrix(op: GTTOperator) -> np.ndarray:
     G[p, q] = f_q((2p+1) / (2N)); unitary, and equal to the dense tensor
     power of the base matrix.
     """
-    _check_dense_cap(op)
+    _check_dense_cap(op.N)
     N = op.N
     midpoints = (2 * np.arange(N) + 1) / (2 * N)
     return eval_basis(op, np.arange(N), midpoints[:, None])

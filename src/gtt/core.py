@@ -129,8 +129,10 @@ def _all_finite(v: np.ndarray) -> bool:
 
 
 def dft_matrix(b: int) -> np.ndarray:
-    """Unitary b x b DFT matrix, F[j,k] = exp(+2 pi i j k / b) / sqrt(b)."""
+    """Unitary b x b DFT matrix, F[j,k] = exp(+2 pi i j k / b) / sqrt(b);
+    TooLarge above the dense cap, before anything is allocated."""
     b = _integer(b, 2, math.inf, BadShape, "base dimension")
+    _check_dense_cap(b)
     j = np.arange(b)
     return _frozen(np.exp(2j * np.pi * np.outer(j, j) / b) / math.sqrt(b))
 
@@ -195,7 +197,9 @@ class GTTOperator:
         base = make_base_matrix(b, self.base)
         object.__setattr__(self, "base", base)
         n = _integer(self.n, 1, math.inf, BadShape, "tensor power")
-        N = b**n
+        # b >= 2, so b**bits already exceeds intp: cap the exponent first,
+        # or a huge n builds a huge integer just to be rejected
+        N = b ** min(n, np.iinfo(np.intp).bits)
         if N > np.iinfo(np.intp).max:
             raise TooLarge(f"b**n = {b}**{n} exceeds the index range")
         object.__setattr__(self, "N", int(N))
@@ -324,10 +328,11 @@ def gtt_inverse_apply(op: GTTOperator, y, counter: OpCounter | None = None) -> n
     return _fast_apply(_plan(op, counter, True), y, counter)
 
 
-def _check_dense_cap(op: GTTOperator) -> None:
+def _check_dense_cap(N: int) -> None:
+    """TooLarge unless an N x N dense matrix is within the dense cap."""
     cap = int(os.environ.get("GTT_DENSE_CAP", DEFAULT_DENSE_CAP))
-    if op.N > cap:
-        raise TooLarge(f"N = {op.N} exceeds the dense cap {cap}")
+    if N > cap:
+        raise TooLarge(f"N = {N} exceeds the dense cap {cap}")
 
 
 def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
@@ -336,7 +341,7 @@ def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
     Intended as an oracle and for small worked examples; guarded by a size
     cap (GTT_DENSE_CAP env var, default 4096) against O(N^2) blowups.
     """
-    _check_dense_cap(op)
+    _check_dense_cap(op.N)
     return _kron_power(op.base, op.n)
 
 

@@ -10,6 +10,10 @@ one batched kernel call, then golden-section steps around the best grid
 point.  Hadamard and full-size DFT bases are evaluated alongside for
 comparison.  Signals, k, angles and restart seeds are validated once, where
 they enter ``encode_fidelity``, ``optimize_theta`` or ``compare_transforms``.
+
+phi never changes a fidelity: u3(theta, phi, lam) = diag(1, e^{i phi})
+u3(theta, 0, lam), and a diagonal phase on the left of every factor changes
+no magnitude of the spectrum, so no retained mass.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ def _line_search(signal, k, params, axis: int, lo: float, hi: float, points: int
     angle = (a + b) / 2.0
     value = objective((angle,))[0]
     if value < values[i] - _TIE_TOL:
-        return angle, float(value), evals
+        return float(angle), float(value), evals
     return float(grid[i]), float(values[i]), evals
 
 

@@ -2,11 +2,10 @@
 
 Compression transforms a unit-norm state, keeps the k largest spectral
 coefficients, renormalizes, and inverse-transforms; the fully quantum
-variant reproduces the same result by simulating the flag/transfer circuit
-on the support of the joint register statevector (O(N + k) memory), with
-measurement replaced by branch projection and probability bookkeeping.
-Filtering splits the spectrum at a natural-order cutoff into two
-unnormalized branches whose energies sum to one.
+variant simulates the flag/transfer circuit on the support of the joint
+register statevector (O(N + k) memory), each gate a scatter on the sorted
+selection and measurement a branch projection.  Filtering splits the
+call's own spectrum at a natural-order cutoff into two unnormalized branches.
 """
 
 from __future__ import annotations
@@ -208,29 +207,27 @@ def compress_fully_quantum(
 
     The joint state |y, a, c> is held by its support: one coordinate triple
     (Y, A, C) and one amplitude per nonzero entry, at most N entries.  Both
-    gates permute basis states, so each is one vectorized update of the
-    coordinates, and the simulation takes O(N + k) memory rather than the
+    gates permute basis states, so each is one scatter on the sorted
+    selection, and the simulation takes O(N + k) memory rather than the
     O(N k) of a dense joint statevector.
     """
     state = _check_state(state, op.N)
     idx = _check_selection(selection.indices, op.N)
-    k = idx.size
 
-    # support of |spectrum>|0>|0>; the rank map sends the j-th smallest
-    # retained index to compressed slot j
+    # support of |spectrum>|0>|0>
     amp = gtt_apply(op, state)
     Y = np.arange(op.N)
     A = np.zeros(op.N, dtype=np.uint8)
     C = np.zeros(op.N, dtype=np.intp)
 
-    # oracle: flip the ancilla where the original register is in the set
-    rank = np.minimum(np.searchsorted(idx, Y), k - 1)
-    hit = idx[rank] == Y
-    A ^= hit
-
+    # oracle: flip the ancilla where the original register is in the set.
+    # _check_selection's strictly increasing rule makes the gates scatters:
+    # no index repeats, so each flag flips once, and position order is slot
+    # order, so the j-th flagged position is |y_j> and goes to slot j
+    A[idx] ^= 1
     # controlled transfer: |y_j, 1, 0> -> |0, 1, j>
-    moved = (A == 1) & (C == 0)
-    C[moved] = rank[moved]
+    moved = np.flatnonzero((A == 1) & (C == 0))
+    C[moved] = np.arange(moved.size)
     Y[moved] = 0
 
     # post-select the ancilla-1 branch
@@ -239,8 +236,8 @@ def compress_fully_quantum(
     if success <= 0.0:
         raise EmptySelection("ancilla-1 branch has zero weight; process failed")
     out = kept & (Y == 0)
-    transmitted = np.zeros(k, dtype=np.complex128)
-    np.add.at(transmitted, C[out], amp[out])
+    transmitted = np.zeros(idx.size, dtype=np.complex128)
+    transmitted[C[out]] = amp[out]
     transmitted /= np.sqrt(success)
 
     # decode: expand |j> back to |y_j> and invert the transform
@@ -276,12 +273,14 @@ def filter_natural(
     cutoff = _integer(cutoff, 1, op.N, BadCutoff, "cutoff")
     spectrum = gtt_apply(op, state)
     if spectrum_hook is not None:
-        spectrum = np.asarray(spectrum_hook(spectrum), dtype=np.complex128)
+        # copied, as the caller may keep the hook's result
+        spectrum = np.array(spectrum_hook(spectrum), dtype=np.complex128)
         if not np.all(np.isfinite(spectrum)):
             raise BadShape("spectrum_hook must return finite values")
     low_spectrum = spectrum.copy()
     low_spectrum[cutoff:] = 0.0
-    high_spectrum = spectrum - low_spectrum
+    high_spectrum = spectrum  # this call's own array: zero its head in place
+    high_spectrum[:cutoff] = 0.0
     return FilterOutput(
         cutoff=cutoff,
         low_branch=gtt_inverse_apply(op, low_spectrum),

@@ -47,10 +47,19 @@ def perturbed_polynomial(x: float) -> float:
 
 
 def _normalized(values) -> np.ndarray:
+    """``values`` scaled to unit norm; ZeroVector if every entry is zero."""
     v = np.asarray(values, dtype=np.complex128)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ZeroVector("input vector is zero")
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 0.0 < nrm < math.inf:
+        # squares that leave the float range (entries near 1e154 or 1e-162):
+        # scale the largest real or imaginary part to 1 first
+        peak = max(np.max(np.abs(v.real), initial=0.0), np.max(np.abs(v.imag), initial=0.0))
+        if peak == 0.0:
+            raise ZeroVector("input vector is zero")
+        # part by part: a complex division by a subnormal peak overflows
+        v = v.real / peak + 1j * (v.imag / peak)
+        nrm = np.linalg.norm(v)
     return v / nrm
 
 

@@ -80,3 +80,40 @@ def random_unitary(rng, b):
     A = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
     Q, R = np.linalg.qr(A)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def flag_and_transfer(spectrum, idx):
+    """The flag-and-transfer circuit on a dense joint statevector |y, a, c>
+    of size N * 2 * k, entry (y, a, c) at y * 2k + a * k + c.
+
+    The oracle flips a where y is in ``idx``; the transfer swaps
+    |idx[j], 1, 0> and |0, 1, j>.  Both are explicit permutation matrices.
+    Returns the weight of the a = 1 branch and that branch, normalized, as
+    an (N, k) array of (y, c) amplitudes.
+    """
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    N, k = spectrum.size, len(idx)
+    D = N * 2 * k
+
+    def at(y, a, c):
+        return y * 2 * k + a * k + c
+
+    psi = np.zeros(D, dtype=np.complex128)
+    for y in range(N):
+        psi[at(y, 0, 0)] = spectrum[y]
+    oracle = np.arange(D)
+    for y in idx:
+        for a in range(2):
+            for c in range(k):
+                oracle[at(y, a, c)] = at(y, 1 - a, c)
+    transfer = np.arange(D)
+    for j, y in enumerate(idx):
+        transfer[at(y, 1, 0)], transfer[at(0, 1, j)] = at(0, 1, j), at(y, 1, 0)
+    for perm in (oracle, transfer):
+        assert sorted(perm) == list(range(D))  # a permutation of basis states
+        P = np.zeros((D, D))
+        P[perm, np.arange(D)] = 1.0  # |perm[i]> <i|
+        psi = P @ psi
+    branch = psi.reshape(N, 2, k)[:, 1, :]
+    weight = float(np.sum(np.abs(branch) ** 2))
+    return weight, branch / np.sqrt(weight)

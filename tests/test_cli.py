@@ -3,7 +3,9 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +332,156 @@ def test_encode_exits_0_or_2_without_traceback(k, restarts):
             assert 0.0 <= report[name] <= 2 * math.pi
 
 
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 2.0**-1070], ids=["huge", "tiny", "subnormal"])
+def test_vector_scale_does_not_change_reports(tmp_path, capsys, scale):
+    # squares of entries this large or small leave the float range; scaled
+    # by a power of two, the input normalizes to the same bits
+    raw = [2.0, 1.0, -1.0, 0.5j, 0.0, 0.25, -0.75, 1.0]
+    files = []
+    for name, s in (("unit.csv", 1.0), ("scaled.csv", scale)):
+        write_csv(tmp_path / name, [z * s for z in raw])
+        assert main(["compress", str(tmp_path / name), "--base", "hadamard", "--n", "3",
+                     "--k", "3", "--mode", "quantum"]) == 0
+        files.append(capsys.readouterr())
+    assert files[0].out == files[1].out and files[1].err == ""
+
+# fuzzed compress --mode quantum and filter: a valid command with any of its
+# tokens or files replaced by arbitrary ones; only exit codes 0/2/3/4, no
+# traceback, and no NaN or Infinity in what an exit 0 writes
+_SIZE_TOKEN = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["100000000000", "1000000000000000000000", "1.5", ""]),
+    st.text(max_size=3),
+)
+_BASE_TOKEN = st.one_of(
+    st.sampled_from(["dft:x", "u3:", "u3:1,2", "MATRIX"]),
+    st.integers(-2, 5).map("dft:{}".format),
+    st.sampled_from(["dft:100000000000", "dft:1000000000000000000000"]),
+    st.lists(_ANGLE_TOKEN, min_size=1, max_size=4).map(lambda t: "u3:" + ",".join(t)),
+    st.text(max_size=6),
+)
+_ENTRY = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(),  # any magnitude, nan and inf included
+)
+
+
+def _entries_file(entries, suffix: str) -> bytes:
+    if suffix == ".json":
+        return json.dumps([[z.real, z.imag] for z in entries]).encode()
+    return "".join(f"{z.real!r},{z.imag!r}\n" for z in entries).encode()
+
+
+def _vector_file(size: int, entry=_ENTRY):
+    """(content, suffix) of a vector file of ``size`` drawn entries."""
+    entries = st.lists(entry, min_size=size, max_size=size)
+    return st.tuples(entries, st.sampled_from([".csv", ".json"]))
+
+
+_VECTOR_FILE = st.one_of(
+    st.sampled_from([1, 3, 9, 64]).flatmap(_vector_file),
+    st.tuples(_FILE_BYTES, st.sampled_from([".csv", ".json"])),
+)
+_MATRIX_FILE = st.one_of(
+    st.sampled_from([b"0,0,1,0\n1,0,0,0\n", b"1,0,1,0\n1,0,1,0\n"]),  # unitary, not
+    _FILE_BYTES,
+)
+
+
+@st.composite
+def _protocol_command(draw, command: str):
+    """argv of a valid ``compress --mode quantum`` or ``filter`` call with a
+    drawn set of its parts replaced; VEC, MATRIX and OUT stand for files."""
+    b = draw(st.sampled_from([2, 3])) if command == "compress" else 2
+    n = draw(st.integers(1, {2: 6, 3: 3}[b]))
+    size = draw(st.integers(1, b**n))
+    base = draw(st.sampled_from({2: ["hadamard", "u3:pi/4,pi/3,pi/6"], 3: ["dft:3"]}[b]))
+    parts = {
+        "n": str(n),
+        "size": str(size),
+        "base": base,
+        "theta": repr(draw(st.floats(0.0, 2 * math.pi))),
+        "vector": draw(_vector_file(b**n, st.complex_numbers(max_magnitude=4.0))),
+    }
+    replace = {
+        "n": _SIZE_TOKEN,
+        "size": _SIZE_TOKEN,
+        "base": _BASE_TOKEN,
+        "theta": _ANGLE_TOKEN,
+        "vector": _VECTOR_FILE,
+    }
+    for part in draw(st.sets(st.sampled_from(sorted(replace)))):
+        parts[part] = draw(replace[part])
+    if command == "compress":
+        argv = ["compress", "VEC", "--mode", "quantum", "--base", parts["base"],
+                "--n", parts["n"], "--k", parts["size"]]
+    else:
+        argv = ["filter", "VEC", "--theta", parts["theta"], "--n", parts["n"],
+                "--cutoff", parts["size"], "--out-prefix", "OUT"]
+    vector, suffix = parts["vector"]
+    if isinstance(vector, list):
+        vector = _entries_file(vector, suffix)
+    return argv, (vector, suffix), draw(_MATRIX_FILE)
+
+
+def _run_protocol_command(argv, vector, matrix):
+    """Run ``main`` on argv with VEC, MATRIX and OUT replaced by files in a
+    fresh directory; returns (exit code, stdout, stderr, output files)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {"VEC": "v" + vector[1], "MATRIX": "m.csv", "OUT": "out"}
+        for name, content in (("VEC", vector[0]), ("MATRIX", matrix)):
+            with open(os.path.join(tmp, names[name]), "wb") as fh:
+                fh.write(content)
+        argv = [os.path.join(tmp, names[a]) if a in names else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                # an overflow or invalid value on the way is a failure too
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse rejects a token
+                    rc = exc.code
+        files = []
+        for name in sorted(os.listdir(tmp)):
+            if name.startswith("out"):
+                with open(os.path.join(tmp, name)) as fh:
+                    files.append(fh.read())
+    return rc, out.getvalue(), err.getvalue(), files
+
+
+def _check_clean_exit(rc, stderr, outputs):
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in stderr
+    # a non-finite result would surface as json's refusal to write it
+    assert "JSON compliant" not in stderr
+    if rc == 0:
+        assert outputs
+        for text in outputs:
+            assert not re.search(r"nan|inf", text, re.IGNORECASE)
+
+
+@given(_protocol_command("compress"))
+@settings(max_examples=80, deadline=None)
+def test_compress_quantum_exits_cleanly(case):
+    rc, stdout, stderr, _ = _run_protocol_command(*case)
+    _check_clean_exit(rc, stderr, [stdout] if rc == 0 else [])
+    if rc == 0:
+        report = json.loads(stdout)
+        assert abs(report["success_probability"] - report["mass"]) < 1e-12
+
+
+@given(_protocol_command("filter"))
+@settings(max_examples=80, deadline=None)
+def test_filter_exits_cleanly(case):
+    rc, _, stderr, files = _run_protocol_command(*case)
+    _check_clean_exit(rc, stderr, files)
+    if rc == 0:
+        assert len(files) == 5
+
+
 def test_bench_report(tmp_path):
     out = str(tmp_path / "bench.json")
     rc = main(["bench", "--bases", "hadamard,dft:3", "--sizes", "2,4", "--out", out])
@@ -349,6 +501,27 @@ def test_bench_oversized_is_too_large(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transform", "VEC", "--base", "hadamard", "--n", "100000000000"],
+        ["compress", "VEC", "--base", "hadamard", "--n", "100000000000", "--k", "1"],
+        ["filter", "VEC", "--theta", "0.5", "--n", "100000000000", "--cutoff", "1",
+         "--out-prefix", "OUT"],
+        ["bench", "--sizes", "100000000000"],
+    ],
+    ids=["transform", "compress", "filter", "bench"],
+)
+def test_power_beyond_index_range_exits_2(tmp_path, capsys, args):
+    # b**n is rejected before it is computed, so no 12.5 GB integer is built
+    vec = str(tmp_path / "v.csv")
+    write_csv(vec, [1.0, 0.0])
+    argv = [vec if a == "VEC" else str(tmp_path / "f") if a == "OUT" else a for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the index range" in err and "Traceback" not in err
 
 
 def test_bench_n1_base_case():

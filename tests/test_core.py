@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ class TestDFT:
         F = dft_matrix(3)
         assert np.max(np.abs(F.conj().T @ F - np.eye(3))) < 1e-12
 
+    def test_above_dense_cap_rejected_before_allocating(self, monkeypatch):
+        # a b x b matrix of b = 10**11 would be 160 ZB
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="dense cap"):
+            dft_matrix(10**11)
+        assert time.perf_counter() - t0 < 1.0
+        monkeypatch.setenv("GTT_DENSE_CAP", "3")
+        assert dft_matrix(3).shape == (3, 3)
+        with pytest.raises(TooLarge):
+            dft_matrix(4)
+
 
 class TestOperator:
     def test_derived_size(self):
@@ -104,6 +116,15 @@ class TestOperator:
     def test_bad_power_rejected(self):
         with pytest.raises(BadShape):
             GTTOperator(hadamard(), 0)
+
+    @pytest.mark.parametrize("b, n", [(2, 63), (3, 40), (2, 10**12)])
+    def test_power_beyond_index_range_is_too_large(self, b, n):
+        # rejected before b**n is built: 2**(10**12) alone is 125 GB
+        base = hadamard() if b == 2 else dft_matrix(b)
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="exceeds the index range"):
+            GTTOperator(base, n)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_conj_inverts(self):
         op = GTTOperator(u3(0.9, 0.3, 1.1), 3)

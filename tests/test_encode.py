@@ -160,6 +160,15 @@ class TestOptimizeTheta:
         assert abs(report.gtt_fidelity - fidelity) < 1e-12
         assert report.optimizer_evals == evals
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"restarts": [math.pi / 4]}, {"vary_all": True}, {}],
+        ids=["one-restart", "vary_all", "default"],
+    )
+    def test_optimal_params_are_python_floats(self, options):
+        report = optimize_theta(builtin_signal("table2"), 4, **options)
+        assert [type(v) for v in report.optimal_params] == [float] * 3
+
 
 class TestCompareTransforms:
     def test_s1_row(self):
@@ -224,6 +233,23 @@ def test_optimizer_report_is_consistent(n, seed, restart, data):
     assert k / N - 1e-12 <= report.gtt_fidelity <= 1.0 + 1e-12
     refit = encode_fidelity(report.optimal_params, state, k)
     assert abs(refit - report.gtt_fidelity) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.floats(-7.0, 7.0), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_phi_never_changes_a_fidelity(n, angles, seed, data):
+    # u3(t, p, l) = diag(1, e^{ip}) u3(t, 0, l): every factor's phase on the
+    # left changes no magnitude of the spectrum, so no retained mass
+    theta, phi, lam = angles
+    k = data.draw(st.integers(1, 2**n))
+    state = random_state(np.random.default_rng(seed), 2**n)
+    with_phi = encode_fidelity((theta, phi, lam), state, k)
+    assert abs(with_phi - encode_fidelity((theta, 0.0, lam), state, k)) < 1e-12
 
 
 class TestRetainedMass:

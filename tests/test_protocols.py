@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtt import (
     BadCutoff,
@@ -27,7 +29,7 @@ from gtt import (
     u3,
 )
 
-from oracles import compress_reference, kron_power, random_unitary
+from oracles import compress_reference, flag_and_transfer, kron_power, random_unitary
 
 OP414 = GTTOperator(u3(math.pi / 4, math.pi / 3, math.pi / 6), 3)
 
@@ -258,6 +260,46 @@ class TestFullyQuantumSupport:
         assert peak < 16 * op.N * 16
 
 
+class TestFlagAndTransferCircuit:
+    """compress_fully_quantum against the dense joint statevector, N <= 16."""
+
+    @staticmethod
+    def check(W, n, state, indices):
+        op = GTTOperator(W, n)
+        G = kron_power(W, n)
+        weight, branch = flag_and_transfer(G @ state, indices)
+        sel = make_selection(indices, gtt_apply(op, state))
+        outcome = compress_fully_quantum(state, op, sel)
+        assert abs(outcome.success_probability - weight) < 1e-12
+        assert np.max(np.abs(outcome.transmitted - branch[0])) < 1e-12
+        # every flagged amplitude left the original register
+        assert np.max(np.abs(branch[1:])) < 1e-12
+        decoded = np.zeros(op.N, dtype=np.complex128)
+        decoded[indices] = branch[0]
+        assert np.max(np.abs(outcome.reconstructed - G.conj().T @ decoded)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, indices",
+        [(1, [0]), (1, [1]), (3, [0]), (3, [6]), (3, [0, 4, 6]), (2, [0, 1, 2, 3]),
+         (4, list(range(16))), (4, [1, 7, 15]), (4, [0, 15])],
+        ids=["k1-zero-n1", "k1-n1", "k1-zero", "k1", "with-zero", "k=N=4", "k=N=16",
+             "no-zero", "ends"],
+    )
+    def test_edge_selections(self, n, indices):
+        rng = np.random.default_rng(30 + n + len(indices))
+        W = u3(*rng.uniform(0.0, 2 * math.pi, 3))
+        self.check(W, n, random_state(rng, 2**n), indices)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_selections(self, seed, n):
+        rng = np.random.default_rng(seed)
+        W = u3(*rng.uniform(0.0, 2 * math.pi, 3))
+        N = 2**n
+        indices = sorted(rng.choice(N, int(rng.integers(1, N + 1)), replace=False).tolist())
+        self.check(W, n, random_state(rng, N), indices)
+
+
 class TestReconstructFromClassical:
     def test_worked_decode(self):
         compressed = np.array([0.914, 0.406])
@@ -329,3 +371,12 @@ class TestFilter:
         )
         assert np.max(np.abs(out.low_branch)) < 1e-12
         assert np.max(np.abs(out.high_branch)) < 1e-12
+
+    def test_hook_array_kept_by_caller(self):
+        held = gtt_apply(self.op, self.state) * np.exp(0.3j)
+        before = held.copy()
+        out = filter_natural(self.state, self.op, 4, spectrum_hook=lambda s: held)
+        assert np.array_equal(held, before)
+        assert np.array_equal(out.low_spectrum + out.high_spectrum, held)
+        assert np.array_equal(out.low_spectrum[:4], held[:4])
+        assert np.array_equal(out.high_spectrum[4:], held[4:])
