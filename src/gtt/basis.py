@@ -5,8 +5,8 @@ selected by the base-b digits of j and of the evaluation point; it is
 constant on each of the N uniform subintervals, so f_j(x) is the transform
 matrix element G[p, j] with p = floor(N x) the subinterval holding x.
 Scaling by b**(n/2) makes the family orthonormal in L2[0,1), and sampling
-the unscaled functions at subinterval midpoints recovers the transform
-matrix.
+the unscaled functions at subinterval midpoints gives the transform matrix,
+the dense oracle that ``sample_matrix`` returns.
 
 Points and indices may be scalars or arrays: ``eval_basis`` broadcasts j
 against x, and ``series_reconstruct`` evaluates any number of points as a
@@ -16,16 +16,14 @@ transform computed on first use.  Scalar inputs give a Python complex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-# dense_gtt_matrix stays imported: the benchmark's traced run wraps
-# basis.dense_gtt_matrix
-from .core import (  # noqa: F401
+from .core import (
     GTTOperator,
-    _check_dense_cap,
     dense_gtt_matrix,
     gtt_apply,
     gtt_element,
@@ -36,6 +34,9 @@ from .errors import BadSampleCount, BadShape, DomainError
 # Guard for floor(N*x) when the product N*x lands a hair below an integer
 # (dyadic/triadic rationals carry representation error).
 _FLOOR_GUARD = 1e-12
+
+# m * 2**e with m in [0.5, 1) is finite for every e up to this
+_MAX_EXPONENT = np.finfo(np.float64).maxexp
 
 
 def _subinterval(N: int, x) -> np.ndarray:
@@ -72,13 +73,9 @@ def eval_normalized_basis(op: GTTOperator, j, x):
 def sample_matrix(op: GTTOperator) -> np.ndarray:
     """N x N matrix of basis values at subinterval midpoints.
 
-    G[p, q] = f_q((2p+1) / (2N)); unitary, and equal to the dense tensor
-    power of the base matrix.
-    """
-    _check_dense_cap(op.N)
-    N = op.N
-    midpoints = (2 * np.arange(N) + 1) / (2 * N)
-    return eval_basis(op, np.arange(N), midpoints[:, None])
+    G[p, q] = f_q((2p+1) / (2N)), the dense oracle ``dense_gtt_matrix``: both
+    multiply the digit factors most-significant first, so bit for bit."""
+    return dense_gtt_matrix(op)
 
 
 @dataclass(frozen=True)
@@ -96,6 +93,8 @@ class SeriesExpansion:
         C = np.array(self.coefficients, dtype=np.complex128)
         if C.shape != (self.op.N,):
             raise BadSampleCount(f"expected {self.op.N} coefficients, got shape {C.shape}")
+        if not np.all(np.isfinite(C)):
+            raise BadShape("coefficients must be finite")
         C.setflags(write=False)
         object.__setattr__(self, "coefficients", C)
 
@@ -115,23 +114,33 @@ def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
 
     ``samples`` holds g at x_t = (2t+1)/(2M) with M a multiple of N.  The
     midpoint rule gives C_m = (1/M) sum_t conj(phi_m(x_t)) g(x_t), exact
-    whenever g is constant on the N base subintervals.
+    whenever g is constant on the N base subintervals.  The sums run on the
+    samples scaled by a power of two near their largest part, which is
+    exact, so samples near the float limits do not overflow on the way;
+    BadShape if a coefficient itself leaves the float range.
     """
-    g = np.asarray(samples, dtype=np.complex128)
+    g = np.ascontiguousarray(samples, dtype=np.complex128)
     N = op.N
     if g.ndim != 1 or g.shape[0] < N or g.shape[0] % N != 0:
         raise BadSampleCount(
             f"need a multiple of N={N} midpoint samples, got shape {g.shape}"
         )
-    if not np.all(np.isfinite(g)):
+    peak = np.abs(g.view(np.float64)).max()  # NaN or inf if a sample is
+    if not np.isfinite(peak):
         raise BadShape("samples must be finite")
     M = g.shape[0]
+    # the largest part scaled into [0.5, 1): M sums of them stay finite
+    exponent = math.frexp(peak)[1]
+    g = np.ldexp(g.view(np.float64), -exponent).view(np.complex128)
     # phi_m is constant on each base subinterval, where it equals
     # b**(n/2) times column m of the transform matrix; so the coefficients
     # are the inverse transform of the per-subinterval sums
     block_sums = g.reshape(N, M // N).sum(axis=1)
     scale = op.b ** (op.n / 2.0) / M
-    return SeriesExpansion(op, scale * gtt_inverse_apply(op, block_sums))
+    C = scale * gtt_inverse_apply(op, block_sums)
+    if math.frexp(np.abs(C.view(np.float64)).max())[1] + exponent > _MAX_EXPONENT:
+        raise BadShape("series coefficients exceed the float range")
+    return SeriesExpansion(op, np.ldexp(C.view(np.float64), exponent).view(np.complex128))
 
 
 def series_reconstruct(exp: SeriesExpansion, x):

@@ -6,7 +6,8 @@ one "re,im" entry (a lone value is real), a JSON file an array of
 or JSON rows of [re, im] pairs.  One reader turns both formats into the
 same nested pairs and checks them once; a file that is not a rectangular
 array of finite numbers raises BadShape.  Output goes through one writer,
-with 17 significant digits so files round-trip exactly.  ``bench`` runs
+with 17 significant digits so files round-trip exactly; ``transform``
+raises BadShape for a result that leaves the float range.  ``bench`` runs
 sizes up to b**n = BENCH_MAX_N and raises TooLarge above it.  Exit codes:
 0 success, 2 bad arguments, bad files or domain errors, 3 length
 mismatch, 4 non-unitary matrix file.
@@ -41,8 +42,8 @@ from .errors import (
     NotUnitary,
     TooLarge,
 )
-from .protocols import compress_fully_quantum, compress_hybrid, filter_natural
-from .signals import SIGNAL_NAMES, _normalized, builtin_signal
+from .protocols import _normalized, compress_fully_quantum, compress_hybrid, filter_natural
+from .signals import SIGNAL_NAMES, builtin_signal
 
 # largest transform length ``bench`` runs: one complex vector of 2**24
 # entries is 256 MiB, and the timed calls hold a few of them at once
@@ -177,7 +178,11 @@ def cmd_transform(args) -> int:
     W = parse_base(args.base)
     op = GTTOperator(W, args.n)
     x = read_vector(args.input)
-    y = gtt_inverse_apply(op, x) if args.inverse else gtt_apply(op, x)
+    # the input is not normalized, so a finite file can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = gtt_inverse_apply(op, x) if args.inverse else gtt_apply(op, x)
+    if not np.all(np.isfinite(y)):
+        raise BadShape(f"{args.input}: the transform leaves the float range")
     write_vector(y, args.out)
     return 0
 

@@ -340,9 +340,10 @@ def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
 
     Intended as an oracle and for small worked examples; guarded by a size
     cap (GTT_DENSE_CAP env var, default 4096) against O(N^2) blowups.
+    The result is a new, writable array, also at n = 1.
     """
     _check_dense_cap(op.N)
-    return _kron_power(op.base, op.n)
+    return op.base.copy() if op.n == 1 else _kron_power(op.base, op.n)
 
 
 def _indices(N: int, i) -> np.ndarray:

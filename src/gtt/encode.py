@@ -35,11 +35,11 @@ from .core import (  # noqa: F401
     dft_matrix,
     u3,
 )
-from .errors import BadK, BadShape, ZeroVector
+from .errors import BadK, BadShape
 
 # compress_hybrid stays imported: the benchmark's traced run wraps
 # encode.compress_hybrid
-from .protocols import _check_state, compress_hybrid  # noqa: F401
+from .protocols import _check_state, _normalized, compress_hybrid  # noqa: F401
 
 # golden-section ratio, and the bracket width at which refinement stops
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -76,17 +76,15 @@ class EncodingReport:
 
 
 def discretize_midpoints(f: Callable[[float], float], N: int) -> np.ndarray:
-    """Sample f at x_t = (2t+1)/(2N) and normalize to unit norm; BadShape
-    unless N is a positive integer."""
+    """Sample f at x_t = (2t+1)/(2N) and normalize to unit norm, safely near
+    the float limits; BadShape unless N is a positive integer and every
+    sample finite, ZeroVector if every sample is zero."""
     N = _integer(N, 1, math.inf, BadShape, "N")
     xs = (2 * np.arange(N) + 1) / (2 * N)
     v = np.array([f(x) for x in xs], dtype=np.complex128)
     if not np.all(np.isfinite(v)):
         raise BadShape("f must be finite at every midpoint")
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ZeroVector("all midpoint samples are zero")
-    return v / nrm
+    return _normalized(v)
 
 
 def _check_signal(signal, k) -> tuple[np.ndarray, int]:

@@ -6,16 +6,18 @@ variant simulates the flag/transfer circuit on the support of the joint
 register statevector (O(N + k) memory), each gate a scatter on the sorted
 selection and measurement a branch projection.  Filtering splits the
 call's own spectrum at a natural-order cutoff into two unnormalized branches.
+A ``SparseSelection`` checks its indices when built; consumers check only the
+bound.  ``_normalized`` is the one unit-norm scaling of every built vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import GTTOperator, _integer, gtt_apply, gtt_inverse_apply
+from .core import GTTOperator, _frozen, _integer, gtt_apply, gtt_inverse_apply
 from .errors import (
     BadCutoff,
     BadK,
@@ -24,6 +26,7 @@ from .errors import (
     EmptySelection,
     LengthMismatch,
     NotNormalized,
+    ZeroVector,
 )
 
 NORM_TOL = 1e-9
@@ -43,20 +46,21 @@ def _check_state(v, N: int, name: str = "state") -> np.ndarray:
     return v
 
 
-def _check_selection(indices, N: int) -> np.ndarray:
-    """``indices`` as intp, checked to be a non-empty, strictly increasing
-    vector of integer dtype (so no float, even an integral one) in [0, N)."""
-    idx = np.asarray(indices)
-    if (
-        idx.ndim != 1
-        or idx.size == 0
-        or idx.dtype.kind not in "iu"
-        or np.any(idx[1:] <= idx[:-1])
-    ):
-        raise BadSelection("indices must be non-empty, strictly increasing integers")
-    if idx[0] < 0 or idx[-1] >= N:
-        raise BadSelection(f"indices must lie in [0, {N})")
-    return idx.astype(np.intp, copy=False)
+def _normalized(values) -> np.ndarray:
+    """``values`` scaled to unit norm; ZeroVector if every entry is zero."""
+    v = np.asarray(values, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 0.0 < nrm < np.inf:
+        # squares that leave the float range (entries near 1e154 or 1e-162):
+        # scale the largest real or imaginary part to 1 first
+        peak = max(np.max(np.abs(v.real), initial=0.0), np.max(np.abs(v.imag), initial=0.0))
+        if peak == 0.0:
+            raise ZeroVector("input vector is zero")
+        # part by part: a complex division by a subnormal peak overflows
+        v = v.real / peak + 1j * (v.imag / peak)
+        nrm = np.linalg.norm(v)
+    return v / nrm
 
 
 def _check_spectrum(spectrum) -> np.ndarray:
@@ -75,10 +79,22 @@ def fidelity(a, b) -> float:
 
 @dataclass(frozen=True)
 class SparseSelection:
-    """Retained spectral index set, sorted ascending, with its mass."""
+    """Retained spectral index set with its mass; BadSelection unless the
+    indices are a non-empty, strictly increasing vector of integer dtype
+    (no float, even an integral one), none negative."""
 
     indices: tuple
     mass: float
+    _idx: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices)
+        vector = idx.ndim == 1 and idx.size > 0 and idx.dtype.kind in "iu"
+        if not (vector and idx[0] >= 0 and np.all(idx[1:] > idx[:-1])):
+            raise BadSelection("indices must be non-empty, strictly increasing integers >= 0")
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
+        # the protocols index with a read-only intp copy
+        object.__setattr__(self, "_idx", _frozen(idx.astype(np.intp)))
 
     @property
     def k(self) -> int:
@@ -88,11 +104,17 @@ class SparseSelection:
     def normalizer(self) -> float:
         return float(np.sqrt(self.mass))
 
+    def _bounded(self, N: int) -> np.ndarray:
+        """``_idx``, BadSelection unless every index, an exact int, is below N
+        (an unsigned index past intp wraps in ``_idx``)."""
+        if self.indices[-1] >= N:
+            raise BadSelection(f"indices must lie in [0, {N})")
+        return self._idx
+
 
 def _selection(idx: np.ndarray, spectrum: np.ndarray) -> SparseSelection:
-    """The selection of checked indices, with their spectral mass."""
-    mass = float(np.sum(np.abs(spectrum[idx]) ** 2))
-    return SparseSelection(tuple(idx.tolist()), mass)
+    """The selection of indices ``idx`` valid for ``spectrum``, with their mass."""
+    return SparseSelection(idx, float(np.sum(np.abs(spectrum[idx]) ** 2)))
 
 
 def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
@@ -108,8 +130,8 @@ def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
         raise BadSelection("indices must be a non-empty list of integers") from None
     # np.sort, not np.unique: the first np.unique call of a process adds
     # over 1 MB of resident memory
-    idx = _check_selection(np.sort(raw) if raw.ndim == 1 else raw, spectrum.shape[0])
-    selection = _selection(idx, spectrum)
+    checked = SparseSelection(np.sort(raw) if raw.ndim == 1 else raw, 0.0)
+    selection = _selection(checked._bounded(spectrum.shape[0]), spectrum)
     if not np.isfinite(selection.mass):
         raise BadShape("spectrum must be finite at the selected indices")
     return selection
@@ -159,7 +181,7 @@ def compress_hybrid(state, op: GTTOperator, k: int) -> CompressionResult:
     selection = top_k_indices(spectrum, k)
     if selection.mass <= 0.0:
         raise EmptySelection("retained spectral mass is zero")
-    idx = np.array(selection.indices, dtype=np.intp)
+    idx = selection._idx
     compressed = spectrum[idx] / selection.normalizer
     reconstructed = _decode(op, idx, compressed)
     return CompressionResult(
@@ -175,7 +197,7 @@ def reconstruct_from_classical(
     selection: SparseSelection, compressed, op: GTTOperator
 ) -> np.ndarray:
     """Scatter received amplitudes back to their spectral slots and invert."""
-    idx = _check_selection(selection.indices, op.N)
+    idx = selection._bounded(op.N)
     compressed = np.asarray(compressed, dtype=np.complex128)
     if compressed.shape != idx.shape:
         raise LengthMismatch(
@@ -212,7 +234,7 @@ def compress_fully_quantum(
     O(N k) of a dense joint statevector.
     """
     state = _check_state(state, op.N)
-    idx = _check_selection(selection.indices, op.N)
+    idx = selection._bounded(op.N)
 
     # support of |spectrum>|0>|0>
     amp = gtt_apply(op, state)
@@ -221,7 +243,7 @@ def compress_fully_quantum(
     C = np.zeros(op.N, dtype=np.intp)
 
     # oracle: flip the ancilla where the original register is in the set.
-    # _check_selection's strictly increasing rule makes the gates scatters:
+    # SparseSelection's strictly increasing rule makes the gates scatters:
     # no index repeats, so each flag flips once, and position order is slot
     # order, so the j-th flagged position is |y_j> and goes to slot j
     A[idx] ^= 1

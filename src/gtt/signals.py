@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .encode import discretize_midpoints
-from .errors import IndexOutOfRange, ZeroVector
+from .errors import IndexOutOfRange
+from .protocols import _normalized
 
 _S1 = [
     0.693 - 0.048j, -0.373 + 0.083j, -0.373 + 0.083j, -0.258 - 0.107j,
@@ -44,23 +45,6 @@ def perturbed_polynomial(x: float) -> float:
         - 1875.0 * x**3 + 431.6 * x**2 - 47.57 * x + 1.886
     )
     return poly + 0.1 * math.sin(0.1 * x) - 0.01 * math.exp(-x)
-
-
-def _normalized(values) -> np.ndarray:
-    """``values`` scaled to unit norm; ZeroVector if every entry is zero."""
-    v = np.asarray(values, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(v)
-    if not 0.0 < nrm < math.inf:
-        # squares that leave the float range (entries near 1e154 or 1e-162):
-        # scale the largest real or imaginary part to 1 first
-        peak = max(np.max(np.abs(v.real), initial=0.0), np.max(np.abs(v.imag), initial=0.0))
-        if peak == 0.0:
-            raise ZeroVector("input vector is zero")
-        # part by part: a complex division by a subnormal peak overflows
-        v = v.real / peak + 1j * (v.imag / peak)
-        nrm = np.linalg.norm(v)
-    return v / nrm
 
 
 def builtin_signal(name: str) -> np.ndarray:

@@ -1,19 +1,22 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import re
+import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gtt import BadShape
-from gtt.cli import main, parse_angle, read_matrix, read_vector, write_vector
+from gtt.cli import BENCH_MAX_N, main, parse_angle, read_matrix, read_vector, write_vector
 
 
 def write_csv(path, values):
@@ -482,6 +485,158 @@ def test_filter_exits_cleanly(case):
         assert len(files) == 5
 
 
+@pytest.mark.parametrize("inverse", [[], ["--inverse"]], ids=["forward", "inverse"])
+def test_transform_overflow_exits_2(tmp_path, capsys, inverse):
+    # every entry is finite, but the first output, 2e308, is not
+    src, out = tmp_path / "big.csv", tmp_path / "out.csv"
+    src.write_text("1e308\n" * 4)
+    argv = ["transform", str(src), "--base", "hadamard", "--n", "2", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + inverse) == 2
+    err = capsys.readouterr().err
+    assert "float range" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@st.composite
+def _transform_command(draw):
+    """argv of a valid ``transform`` call with a drawn set of its --n,
+    --base and --inverse tokens or its vector file replaced."""
+    b = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, {2: 6, 3: 3}[b]))
+    parts = {
+        "n": str(n),
+        "base": draw(st.sampled_from({2: ["hadamard", "u3:pi/4,pi/3,pi/6"], 3: ["dft:3"]}[b])),
+        "inverse": draw(st.sampled_from([[], ["--inverse"]])),
+        # small entries, or all equal near the float limit: a finite file
+        # whose transform can overflow
+        "vector": draw(
+            st.one_of(
+                _vector_file(b**n, st.complex_numbers(max_magnitude=4.0)),
+                st.tuples(
+                    st.sampled_from([1e308, -1e308, 1e308j, sys.float_info.max]).map(
+                        lambda z: [complex(z)] * b**n
+                    ),
+                    st.sampled_from([".csv", ".json"]),
+                ),
+            )
+        ),
+    }
+    replace = {
+        "n": _SIZE_TOKEN,
+        "base": _BASE_TOKEN,
+        # one token, last, so an option that wants a value finds none; no
+        # -h, which exits 0 with no output
+        "inverse": st.one_of(
+            st.sampled_from([["--inverse", "--inverse"], ["--inverse=1"], ["--inv"]]),
+            st.text(max_size=4).filter(lambda t: not (t.startswith("-") and "h" in t)).map(
+                lambda t: [t]
+            ),
+        ),
+        # any entries at the valid length, any magnitude included
+        "vector": st.one_of(_VECTOR_FILE, _vector_file(b**n)),
+    }
+    for part in draw(st.sets(st.sampled_from(sorted(replace)))):
+        parts[part] = draw(replace[part])
+    argv = ["transform", "VEC", "--base", parts["base"], "--n", parts["n"],
+            "--out", "OUT", *parts["inverse"]]
+    vector, suffix = parts["vector"]
+    if isinstance(vector, list):
+        vector = _entries_file(vector, suffix)
+    return argv, (vector, suffix), draw(_MATRIX_FILE)
+
+
+@given(_transform_command())
+@settings(max_examples=80, deadline=None)
+def test_transform_exits_cleanly(case):
+    rc, _, stderr, files = _run_protocol_command(*case)
+    _check_clean_exit(rc, stderr, files)
+    if rc == 0:
+        assert len(files) == 1
+
+
+def _base_size(spec: str) -> int:
+    """b of a --bases entry if it parses as dft:b, else 2 (hadamard, u3,
+    and the 2 x 2 matrix files)."""
+    low = spec.strip().lower()
+    try:
+        return int(low[4:]) if low.startswith("dft:") else 2
+    except ValueError:
+        return 2
+
+
+def _timed_sizes(bases: str, sizes: str) -> list:
+    """The b**n that ``bench`` would time beyond 2**12 elements."""
+    large = []
+    for spec, token in itertools.product(bases.split(","), sizes.split(",")):
+        try:
+            n = int(token)
+        except ValueError:
+            continue
+        N = _base_size(spec) ** n if 1 <= n <= 64 else 0
+        if 2**12 < N <= BENCH_MAX_N:
+            large.append(N)
+    return large
+
+
+@st.composite
+def _bench_command(draw):
+    """argv of a valid ``bench`` call with its --bases or --sizes replaced;
+    no draw times a vector longer than 2**12."""
+    parts = {
+        "bases": draw(st.sampled_from(["hadamard", "dft:3", "hadamard,u3:pi/4,pi/3,pi/6"])),
+        "sizes": ",".join(map(str, draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))),
+    }
+    replace = {
+        "bases": st.one_of(
+            st.lists(st.one_of(_BASE_TOKEN, st.just("hadamard")), min_size=1, max_size=3).map(
+                ",".join
+            ),
+            st.text(max_size=6),
+        ),
+        # the smallest sizes past BENCH_MAX_N for b = 2, 3, 4 among them
+        "sizes": st.one_of(
+            st.lists(st.one_of(_SIZE_TOKEN, st.sampled_from(["25", "16", "13"])),
+                     min_size=1, max_size=3).map(",".join),
+            st.text(max_size=6),
+        ),
+    }
+    for part in draw(st.sets(st.sampled_from(sorted(replace)))):
+        parts[part] = draw(replace[part])
+    assume(not _timed_sizes(parts["bases"], parts["sizes"]))
+    argv = ["bench", "--bases", parts["bases"], "--sizes", parts["sizes"], "--out", "OUT"]
+    # MATRIX stands for the matrix file wherever it is a whole --bases entry
+    argv[2] = ",".join("MATRIX_PATH" if b == "MATRIX" else b for b in argv[2].split(","))
+    return argv, draw(_MATRIX_FILE)
+
+
+@given(_bench_command())
+@settings(max_examples=60, deadline=None)
+def test_bench_exits_cleanly(case):
+    argv, matrix = case
+    with tempfile.TemporaryDirectory() as tmp:
+        mfile, out = os.path.join(tmp, "m.csv"), os.path.join(tmp, "out.json")
+        with open(mfile, "wb") as fh:
+            fh.write(matrix)
+        argv = [a.replace("MATRIX_PATH", mfile) if a != "OUT" else out for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse rejects a token
+                    rc = exc.code
+        report = json.load(open(out)) if os.path.exists(out) else None
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if rc == 0:
+        for row in report["results"]:
+            assert row["within_bound"] and row["N"] <= 2**12
+            assert all(math.isfinite(v) for v in row.values() if isinstance(v, (int, float)))
+
+
 def test_bench_report(tmp_path):
     out = str(tmp_path / "bench.json")
     rc = main(["bench", "--bases", "hadamard,dft:3", "--sizes", "2,4", "--out", out])
@@ -494,10 +649,25 @@ def test_bench_report(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args", [["--sizes", "40"], ["--bases", "dft:3", "--sizes", "30"]], ids=["2^40", "3^30"]
+    "args",
+    [
+        ["--sizes", "40"],
+        ["--bases", "dft:3", "--sizes", "30"],
+        ["--sizes", "25"],
+        ["--bases", "dft:3", "--sizes", "16"],
+        ["--bases", "dft:4", "--sizes", "2,13"],
+    ],
+    ids=["2^40", "3^30", "2^25", "3^16", "4^13"],
 )
 def test_bench_oversized_is_too_large(capsys, args):
-    assert main(["bench"] + args) == 2
+    # rejected before the vectors are allocated: one of 2**25 entries
+    # would take 512 MiB
+    tracemalloc.start()
+    try:
+        assert main(["bench"] + args) == 2
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds" in captured.err and "Traceback" not in captured.err

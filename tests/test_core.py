@@ -312,6 +312,12 @@ class TestDense:
         W = u3(0.3, 0.1, 0.2)
         assert np.allclose(dense_gtt_matrix(GTTOperator(W, 1)), W)
 
+    def test_n1_is_a_fresh_writable_array(self):
+        op = GTTOperator(hadamard(), 1)
+        G = dense_gtt_matrix(op)
+        assert G is not op.base and G.flags.writeable
+        assert np.array_equal(G, hadamard())
+
     def test_hadamard_n2(self):
         G = dense_gtt_matrix(GTTOperator(hadamard(), 2))
         assert np.max(np.abs(np.abs(G) - 0.5)) < 1e-12

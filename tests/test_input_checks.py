@@ -20,6 +20,7 @@ from gtt import (
     LengthMismatch,
     NotNormalized,
     NotUnitary,
+    SeriesExpansion,
     SparseSelection,
     compare_transforms,
     compress_fully_quantum,
@@ -47,6 +48,44 @@ def test_series_coefficients_rejects_non_finite(bad):
         warnings.simplefilter("error")
         with pytest.raises(BadShape):
             series_coefficients(op, [bad] + [1.0] * 7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_series_expansion_rejects_non_finite(bad):
+    with pytest.raises(BadShape):
+        SeriesExpansion(GTTOperator(hadamard(), 3), [bad] + [0.0] * 7)
+
+
+def test_series_coefficients_near_float_limit():
+    # the transform of the raw samples overflows, though C_0 = 1e308 exactly
+    op = GTTOperator(hadamard(), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = series_coefficients(op, np.full(8, 1e308)).coefficients
+    assert np.all(np.isfinite(C))
+    assert abs(C[0] - 1e308) < 1e-15 * 1e308 and np.max(np.abs(C[1:])) < 1e-15 * 1e308
+
+
+def test_series_coefficient_past_float_limit_is_bad_shape():
+    # every sample is finite, but C_0 = 1.77e308 * sqrt(2) is not
+    W = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+    samples = 1.77e308 * np.array([1 + 1j, 1 - 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadShape):
+            series_coefficients(GTTOperator(W, 1), samples)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["huge", "tiny"])
+def test_discretize_midpoints_near_float_limits(scale):
+    # squares of these samples leave the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = discretize_midpoints(lambda x: scale * (1.0 + x), 8)
+        report = optimize_theta(v, 2, restarts=[0.5])
+    expect = discretize_midpoints(lambda x: 1.0 + x, 8)
+    assert np.max(np.abs(v - expect)) < 1e-15
+    assert 0.0 < report.gtt_fidelity <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -106,6 +145,13 @@ def _reconstruct(indices, amplitudes):
         (lambda: _reconstruct((2, 2), [1.0, 1.0]), BadSelection),
         (lambda: _reconstruct((9,), [1.0]), BadSelection),
         (lambda: _reconstruct((1.5,), [1.0]), BadSelection),
+        (lambda: _reconstruct(np.array([0, 2**63], dtype=np.uint64), [1.0, 0.0]), BadSelection),
+        (
+            lambda: compress_fully_quantum(
+                STATE8, OP8, SparseSelection(np.array([0, 2**63], dtype=np.uint64), 1.0)
+            ),
+            BadSelection,
+        ),
         (lambda: _reconstruct((1,), [[1.0]]), LengthMismatch),
         (lambda: _reconstruct((1,), 1.0), LengthMismatch),
         (lambda: _reconstruct((1,), [np.nan]), BadShape),
@@ -144,6 +190,8 @@ def _reconstruct(indices, amplitudes):
         "reconstruct-repeated",
         "reconstruct-out-of-range",
         "reconstruct-float-index",
+        "reconstruct-past-intp",
+        "fully_quantum-past-intp",
         "reconstruct-matrix-amplitudes",
         "reconstruct-scalar-amplitude",
         "reconstruct-nan-amplitude",

@@ -133,6 +133,26 @@ class TestMakeSelection:
         assert make_selection((i for i in (7, 2, 6)), self.SPECTRUM) == expected
 
 
+class TestSparseSelection:
+    @pytest.mark.parametrize(
+        "indices",
+        [(), (3, 1), (2, 2), (0.0, 1.0), (-1, 2), ((0, 1), (2, 3)), (True,), ("1",)],
+    )
+    def test_bad_indices_rejected_when_built(self, indices):
+        with pytest.raises(BadSelection):
+            SparseSelection(indices, 1.0)
+
+    def test_indices_kept_as_ints(self):
+        raw = np.array([1, 4, 6], dtype=np.int32)
+        sel = SparseSelection(raw, 0.5)
+        raw[0] = 0  # the caller's array is not shared
+        assert sel.indices == (1, 4, 6) and all(type(i) is int for i in sel.indices)
+        assert sel == SparseSelection((1, 4, 6), 0.5)
+        assert hash(sel) == hash(SparseSelection([1, 4, 6], 0.5))
+        assert repr(sel) == "SparseSelection(indices=(1, 4, 6), mass=0.5)"
+        assert sel._idx.dtype == np.intp and not sel._idx.flags.writeable
+
+
 class TestCompressHybrid:
     def test_s1_near_perfect(self):
         r = compress_hybrid(builtin_signal("s1"), OP414, 2)
