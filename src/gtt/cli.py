@@ -4,13 +4,13 @@ Vectors travel as CSV or JSON, selected by file extension: a CSV line is
 one "re,im" entry (a lone value is real), a JSON file an array of
 [re, im] pairs.  A matrix file is CSV rows of interleaved re,im values,
 or JSON rows of [re, im] pairs.  One reader turns both formats into the
-same nested pairs and checks them once; a file that is not a rectangular
-array of finite numbers raises BadShape.  Output goes through one writer,
-with 17 significant digits so files round-trip exactly; ``transform``
-raises BadShape for a result that leaves the float range.  ``bench`` runs
-sizes up to b**n = BENCH_MAX_N and raises TooLarge above it.  Exit codes:
-0 success, 2 bad arguments, bad files or domain errors, 3 length
-mismatch, 4 non-unitary matrix file.
+same float array of [re, im] pairs and checks it once; a file that is not
+a rectangular array of finite numbers raises BadShape.  Output goes
+through one writer, with 17 significant digits so files round-trip
+exactly; ``transform`` raises BadShape for a result that leaves the float
+range.  ``bench`` runs sizes up to b**n = BENCH_MAX_N and raises TooLarge
+above it.  Exit codes: 0 success, 2 bad arguments, bad files or domain
+errors, 3 length mismatch, 4 non-unitary matrix file.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from array import array
 
 import numpy as np
 
@@ -73,9 +74,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _complex_pairs(data, ndim: int, path: str) -> np.ndarray:
-    """Finite complex array of rank ``ndim`` from nested [re, im] pairs."""
-    arr = np.array(data)  # ragged nesting raises ValueError
+def _complex_pairs(arr: np.ndarray, ndim: int, path: str) -> np.ndarray:
+    """Finite complex array of rank ``ndim`` from an array of [re, im] pairs."""
     if arr.dtype.kind not in "iuf" or arr.shape[ndim:] != (2,):
         depth = "rows of " * (ndim - 1)
         raise BadShape(f"{path}: expected a list of {depth}[re, im] number pairs")
@@ -84,14 +84,26 @@ def _complex_pairs(data, ndim: int, path: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _csv_entry(line: str, ndim: int):
-    """A CSV line nested as a JSON file nests it: a vector line is one
-    (re, im) entry (a lone value is real), a matrix line one row of
-    interleaved re,im values (tuples: smaller than lists)."""
-    vals = tuple(map(float, line.split(",")))
-    if ndim == 1:
-        return vals + (0.0,) if len(vals) == 1 else vals
-    return [vals[i : i + 2] for i in range(0, len(vals), 2)]
+def _csv_floats(fh, ndim: int) -> np.ndarray:
+    """The floats of a CSV file in one buffer, shaped as a JSON file nests
+    them: (lines, 2) for a vector, whose lines are one re,im entry (a lone
+    value is real), (rows, width/2, 2) for a matrix, whose rows all hold
+    the same even number of interleaved re,im values."""
+    buf, rows, width = array("d"), 0, 2 if ndim == 1 else 0
+    for number, line in enumerate(fh, 1):
+        if not line.strip():
+            continue
+        buf.extend(map(float, line.split(",")))
+        rows += 1
+        if ndim == 1 and len(buf) == 2 * rows - 1:
+            buf.append(0.0)
+        width = width or len(buf)
+        if len(buf) != rows * width or width % 2:
+            rule = "re,im or one value" if ndim == 1 else "as many values as row 1, an even number"
+            raise ValueError(f"line {number} must hold {rule}")
+    if not rows:
+        raise ValueError("no entries")
+    return np.frombuffer(buf).reshape((rows, 2) if ndim == 1 else (rows, width // 2, 2))
 
 
 def _read(path: str, ndim: int) -> np.ndarray:
@@ -105,10 +117,10 @@ def _read(path: str, ndim: int) -> np.ndarray:
                 # file only as booleans, which numpy would cast to 1 and 0
                 if "true" in text or "false" in text:
                     raise BadShape(f"{path}: entries must be numbers, not true or false")
-                data = json.loads(text)
+                arr = np.array(json.loads(text))
             else:
-                data = [_csv_entry(line, ndim) for line in fh if line.strip()]
-        return _complex_pairs(data, ndim, path)
+                arr = _csv_floats(fh, ndim)
+        return _complex_pairs(arr, ndim, path)
     except (ValueError, RecursionError) as exc:
         # a token that is not a number, JSON that does not parse, bytes that
         # are not UTF-8, ragged rows, nesting deeper than the recursion limit
@@ -330,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--restarts", default=None, help="comma-separated theta seeds in [0, 2*pi]")
     e.add_argument("--theta", default=None, help="skip optimization, evaluate this angle")
-    e.add_argument("--vary-all", action="store_true", help="also tune phi and lambda")
+    e.add_argument(
+        "--vary-all",
+        action="store_true",
+        help="also tune lambda (phi never changes a fidelity)",
+    )
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_encode)
 

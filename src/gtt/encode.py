@@ -229,7 +229,7 @@ def optimize_theta(
     Runs a line search on [seed - pi/4, seed + pi/4], clipped to
     [0, 2*pi], from every restart seed and keeps the best angle, ties
     broken toward the smaller theta.  With ``vary_all``, _CYCLES cycles of
-    line searches over each of the three angles on [0, 2*pi] follow.
+    line searches over theta and lam on [0, 2*pi] follow; phi stays 0.
     Restart seeds must be finite angles in [0, 2*pi] (BadShape).
     """
     signal, k = _check_signal(signal, k)
@@ -249,7 +249,7 @@ def optimize_theta(
         best = 1.0 - _retained_mass(signal, k, np.array([angles]))[0]
         evals += 1
         for _ in range(_CYCLES):
-            for axis in range(3):
+            for axis in (0, 2):  # theta and lam: phi never changes a fidelity
                 angle, value, n = _line_search(signal, k, angles, axis, 0.0, 2.0 * math.pi, 65)
                 evals += n
                 if value < best - _TIE_TOL:

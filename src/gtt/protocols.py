@@ -1,11 +1,12 @@
 """Statevector-level compression and filtering protocols.
 
 Compression transforms a unit-norm state, keeps the k largest spectral
-coefficients, renormalizes, and inverse-transforms; the fully quantum
-variant simulates the flag/transfer circuit on the support of the joint
-register statevector (O(N + k) memory), each gate a scatter on the sorted
-selection and measurement a branch projection.  Filtering splits the
-call's own spectrum at a natural-order cutoff into two unnormalized branches.
+coefficients (under a unitary their mass is at least about k/N, never
+zero), renormalizes, and inverse-transforms; the fully quantum variant
+simulates the flag/transfer circuit on the support of the joint register
+statevector (O(N + k) memory), each gate a scatter on the sorted selection
+and measurement a branch projection.  Filtering splits the call's own
+spectrum at a natural-order cutoff into two unnormalized branches.
 A ``SparseSelection`` checks its indices when built; consumers check only the
 bound.  ``_normalized`` is the one unit-norm scaling of every built vector.
 """
@@ -112,11 +113,6 @@ class SparseSelection:
         return self._idx
 
 
-def _selection(idx: np.ndarray, spectrum: np.ndarray) -> SparseSelection:
-    """The selection of indices ``idx`` valid for ``spectrum``, with their mass."""
-    return SparseSelection(idx, float(np.sum(np.abs(spectrum[idx]) ** 2)))
-
-
 def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
     """Build a selection over explicit indices, computing the retained mass.
 
@@ -131,7 +127,8 @@ def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
     # np.sort, not np.unique: the first np.unique call of a process adds
     # over 1 MB of resident memory
     checked = SparseSelection(np.sort(raw) if raw.ndim == 1 else raw, 0.0)
-    selection = _selection(checked._bounded(spectrum.shape[0]), spectrum)
+    idx = checked._bounded(spectrum.shape[0])
+    selection = SparseSelection(idx, float(np.sum(np.abs(spectrum[idx]) ** 2)))
     if not np.isfinite(selection.mass):
         raise BadShape("spectrum must be finite at the selected indices")
     return selection
@@ -141,8 +138,9 @@ def top_k_indices(spectrum, k: int) -> SparseSelection:
     """Select the k largest-magnitude coefficients, ties toward smaller index.
 
     Magnitudes within a relative TIE_RTOL of the k-th largest are tied, so
-    rounding in the last bits does not decide between them; the slots left
-    after the strictly larger ones go to the tied band's smallest indices.
+    rounding in the last bits does not decide between them.  One ordered
+    scan finds the strictly larger entries and the tied band, ascending;
+    the slots left after the larger ones go to the band's smallest indices.
     """
     spectrum = _check_spectrum(spectrum)
     N = spectrum.shape[0]
@@ -152,10 +150,13 @@ def top_k_indices(spectrum, k: int) -> SparseSelection:
         raise BadShape("spectrum must be finite")
     kth = np.partition(mag, N - k)[N - k]
     tol = TIE_RTOL * kth
-    larger = np.flatnonzero(mag > kth + tol)
-    tied = np.flatnonzero(np.abs(mag - kth) <= tol)
-    idx = np.sort(np.concatenate([larger, tied[: k - larger.size]]))
-    return _selection(idx, spectrum)
+    band = np.flatnonzero(mag >= kth - tol)
+    near = mag[band]
+    gap = near - kth  # exact near kth; kth + tol can round up onto a larger entry
+    larger = gap > tol
+    tied = np.abs(gap) <= tol
+    keep = larger | (tied & (np.cumsum(tied) <= k - np.count_nonzero(larger)))
+    return SparseSelection(band[keep], float(np.sum(near[keep] ** 2)))
 
 
 def _decode(op: GTTOperator, idx: np.ndarray, amplitudes) -> np.ndarray:
@@ -179,8 +180,6 @@ def compress_hybrid(state, op: GTTOperator, k: int) -> CompressionResult:
     state = _check_state(state, op.N)
     spectrum = gtt_apply(op, state)
     selection = top_k_indices(spectrum, k)
-    if selection.mass <= 0.0:
-        raise EmptySelection("retained spectral mass is zero")
     idx = selection._idx
     compressed = spectrum[idx] / selection.normalizer
     reconstructed = _decode(op, idx, compressed)

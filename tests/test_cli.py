@@ -229,6 +229,22 @@ def test_readers_return_finite_array_or_bad_shape(suffix, content):
             assert arr.size > 0 and np.all(np.isfinite(arr))
 
 
+def test_csv_vector_reader_holds_no_object_per_line(tmp_path):
+    # 2**16 lines make a 1 MiB array; a Python object per line costs about 10x that
+    rng = np.random.default_rng(65536)
+    v = rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16)
+    src = str(tmp_path / "big.csv")
+    write_vector(v, src)
+    tracemalloc.start()
+    try:
+        read = read_vector(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read, v)
+    assert peak < 3 * 2**20
+
+
 def test_compress_report(tmp_path):
     out = str(tmp_path / "report.json")
     rc = main(

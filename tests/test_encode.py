@@ -123,6 +123,19 @@ class TestOptimizeTheta:
         full = optimize_theta(sig, 8, vary_all=True)
         assert full.gtt_fidelity >= base.gtt_fidelity - 1e-12
 
+    def test_vary_all_runs_no_phi_line_search(self, monkeypatch):
+        # phi never changes a fidelity, so only theta (0) and lam (2) are searched
+        axes = []
+        search = gtt.encode._line_search
+
+        def recording(signal, k, params, axis, *bracket):
+            axes.append(axis)
+            return search(signal, k, params, axis, *bracket)
+
+        monkeypatch.setattr(gtt.encode, "_line_search", recording)
+        optimize_theta(builtin_signal("table2"), 4, vary_all=True)
+        assert set(axes) == {0, 2}
+
     @pytest.mark.parametrize(
         "signal",
         [builtin_signal("table2"), discretize_midpoints(lambda x: math.sin(3 * x) + x * x, 64)],
@@ -146,9 +159,9 @@ class TestOptimizeTheta:
     @pytest.mark.parametrize(
         "k, options, theta, fidelity, evals",
         [
-            (4, {"vary_all": True}, 2.5753144993832904, 0.8390609720447285, 2100),
-            (8, {"vary_all": True}, 2.7128282409549582, 0.9570487283963889, 2080),
-            (12, {"vary_all": True}, 2.9136542274146864, 0.9985158401191383, 2099),
+            (4, {"vary_all": True}, 2.5753144993832904, 0.8390609720447285, 1794),
+            (8, {"vary_all": True}, 2.7128282409549582, 0.9570487283963889, 1774),
+            (12, {"vary_all": True}, 2.9136542274146864, 0.9985158401191383, 1793),
             (4, {"restarts": [math.pi / 4]}, 0.8761631237563652, 0.8076635819972633, 70),
             (8, {"restarts": [math.pi / 4]}, 0.0, 0.9549350769474223, 69),
         ],

@@ -17,6 +17,7 @@ from gtt import (
     BadSelection,
     BadShape,
     GTTOperator,
+    IndexOutOfRange,
     LengthMismatch,
     NotNormalized,
     NotUnitary,
@@ -177,6 +178,7 @@ def _reconstruct(indices, amplitudes):
         (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[100.0]), BadShape),
         (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[-10.0]), BadShape),
         (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[1e300]), BadShape),
+        (lambda: builtin_signal("nope"), IndexOutOfRange),
     ],
     ids=[
         "make_selection-float",
@@ -217,6 +219,7 @@ def _reconstruct(indices, amplitudes):
         "restarts-above-2pi",
         "restarts-negative",
         "restarts-huge",
+        "builtin_signal-unknown-name",
     ],
 )
 def test_probe_raises(call, error):

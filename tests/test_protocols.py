@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gtt import (
     BadCutoff,
     BadK,
     BadSelection,
+    EmptySelection,
     GTTOperator,
     LengthMismatch,
     NotNormalized,
@@ -28,6 +30,7 @@ from gtt import (
     top_k_indices,
     u3,
 )
+from gtt.protocols import TIE_RTOL
 
 from oracles import compress_reference, flag_and_transfer, kron_power, random_unitary
 
@@ -76,6 +79,15 @@ class TestTopK:
     def test_tie_break_smaller_index(self):
         sel = top_k_indices(np.ones(6) / math.sqrt(6.0), 3)
         assert sel.indices == (0, 1, 2)
+
+    def test_entry_at_rounded_tie_bound_is_kept(self):
+        # 1 + TIE_RTOL rounds up, so an entry equal to it lies just past the
+        # tied band: it is larger than the k-th, and both slots fill
+        top = 1.0 + TIE_RTOL
+        assert Fraction(top) > 1 + Fraction(TIE_RTOL)
+        sel = top_k_indices([top, 1.0], 2)
+        assert sel.indices == (0, 1)
+        assert sel.mass == top**2 + 1.0
 
     def test_sorted_ascending(self):
         sel = top_k_indices(np.array([0.1, 0.9, 0.2, 0.8]), 2)
@@ -226,6 +238,15 @@ class TestFullyQuantum:
         outcome = compress_fully_quantum(state, OP414, sel)
         assert abs(outcome.success_probability - 1.0) < 1e-12
         assert np.max(np.abs(outcome.reconstructed - state)) < 1e-12
+
+    def test_zero_weight_selection_is_empty(self):
+        # (1, 1, 1, 1)/2 under hadamard n = 2 has spectrum e_0
+        state = np.full(4, 0.5)
+        op = GTTOperator(hadamard(), 2)
+        sel = make_selection([1], gtt_apply(op, state))
+        assert sel.mass == 0.0
+        with pytest.raises(EmptySelection):
+            compress_fully_quantum(state, op, sel)
 
     def test_bad_selection(self):
         state = builtin_signal("s1")
