@@ -32,10 +32,11 @@ print("discarded spectral mass:", result.discarded_norm)
 had = compress_hybrid(state, GTTOperator(hadamard(), 3), 2)
 print("\nHadamard fidelity at k=2:", had.fidelity)
 
-# The statevector simulation of the flag/transfer circuit, kept on the
-# support of the joint register (O(N + k) memory, not a dense N x 2 x k
-# array), agrees with the hybrid path exactly, and its post-selection
-# probability is the retained mass.
+# The statevector simulation of the flag/transfer circuit, kept on its
+# flagged branch (the gates act only there and post-selection drops the
+# rest, so O(k) memory after the transform, not a dense N x 2 x k array),
+# agrees with the hybrid path exactly, and its post-selection probability
+# is the retained mass.
 outcome = compress_fully_quantum(state, op, result.selection)
 print("\nsuccess probability:", outcome.success_probability)
 print("transmitted == compressed:",

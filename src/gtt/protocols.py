@@ -3,9 +3,9 @@
 Compression transforms a unit-norm state, keeps the k largest spectral
 coefficients (under a unitary their mass is at least about k/N, never
 zero), renormalizes, and inverse-transforms; the fully quantum variant
-simulates the flag/transfer circuit on the support of the joint register
-statevector (O(N + k) memory), each gate a scatter on the sorted selection
-and measurement a branch projection.  Filtering splits the call's own
+simulates the flag/transfer circuit on its flagged branch only, since both
+gates act on the flagged states alone and post-selection drops the rest, so
+after the transform it holds O(k) amplitudes.  Filtering splits the call's own
 spectrum at a natural-order cutoff into two unnormalized branches.
 A ``SparseSelection`` checks its indices when built; consumers check only the
 bound.  ``_normalized`` is the one unit-norm scaling of every built vector.
@@ -126,11 +126,13 @@ def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
         raise BadSelection("indices must be a non-empty list of integers") from None
     # np.sort, not np.unique: the first np.unique call of a process adds
     # over 1 MB of resident memory
-    checked = SparseSelection(np.sort(raw) if raw.ndim == 1 else raw, 0.0)
-    idx = checked._bounded(spectrum.shape[0])
-    selection = SparseSelection(idx, float(np.sum(np.abs(spectrum[idx]) ** 2)))
-    if not np.isfinite(selection.mass):
+    selection = SparseSelection(np.sort(raw) if raw.ndim == 1 else raw, 0.0)
+    idx = selection._bounded(spectrum.shape[0])
+    mass = float(np.sum(np.abs(spectrum[idx]) ** 2))
+    if not np.isfinite(mass):
         raise BadShape("spectrum must be finite at the selected indices")
+    # the indices are checked once; only the mass is filled in
+    object.__setattr__(selection, "mass", mass)
     return selection
 
 
@@ -226,39 +228,22 @@ def compress_fully_quantum(
     the original), and post-selecting a = 1 is performed deterministically
     with the branch weight reported as the success probability.
 
-    The joint state |y, a, c> is held by its support: one coordinate triple
-    (Y, A, C) and one amplitude per nonzero entry, at most N entries.  Both
-    gates permute basis states, so each is one scatter on the sorted
-    selection, and the simulation takes O(N + k) memory rather than the
-    O(N k) of a dense joint statevector.
+    Only the flagged branch is held, the k amplitudes the gates act on:
+    O(k) memory after the transform rather than the O(N k) of a dense joint
+    statevector.
     """
     state = _check_state(state, op.N)
     idx = selection._bounded(op.N)
-
-    # support of |spectrum>|0>|0>
     amp = gtt_apply(op, state)
-    Y = np.arange(op.N)
-    A = np.zeros(op.N, dtype=np.uint8)
-    C = np.zeros(op.N, dtype=np.intp)
 
-    # oracle: flip the ancilla where the original register is in the set.
-    # SparseSelection's strictly increasing rule makes the gates scatters:
-    # no index repeats, so each flag flips once, and position order is slot
-    # order, so the j-th flagged position is |y_j> and goes to slot j
-    A[idx] ^= 1
-    # controlled transfer: |y_j, 1, 0> -> |0, 1, j>
-    moved = np.flatnonzero((A == 1) & (C == 0))
-    C[moved] = np.arange(moved.size)
-    Y[moved] = 0
-
-    # post-select the ancilla-1 branch
-    kept = A == 1
-    success = float(np.sum(np.abs(amp[kept]) ** 2))
+    # the oracle flips the flag only on selected |y>, and the transfer maps
+    # |y_j, 1, 0> to |0, 1, j>, so neither gate touches an unflagged state and
+    # post-selecting a = 1 discards all of them: the branch is amp[idx], slot j
+    # holding amp[idx[j]] because the selection is strictly increasing
+    transmitted = amp[idx]
+    success = float(np.sum(np.abs(transmitted) ** 2))
     if success <= 0.0:
         raise EmptySelection("ancilla-1 branch has zero weight; process failed")
-    out = kept & (Y == 0)
-    transmitted = np.zeros(idx.size, dtype=np.complex128)
-    transmitted[C[out]] = amp[out]
     transmitted /= np.sqrt(success)
 
     # decode: expand |j> back to |y_j> and invert the transform

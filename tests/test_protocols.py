@@ -144,6 +144,19 @@ class TestMakeSelection:
         assert make_selection({6, 2, 7}, self.SPECTRUM) == expected
         assert make_selection((i for i in (7, 2, 6)), self.SPECTRUM) == expected
 
+    def test_indices_checked_once(self, monkeypatch):
+        runs = []
+        check = SparseSelection.__post_init__
+
+        def counted(self):
+            runs.append(1)
+            check(self)
+
+        monkeypatch.setattr(SparseSelection, "__post_init__", counted)
+        sel = make_selection([5, 0, 3], self.SPECTRUM)
+        assert len(runs) == 1
+        assert sel == SparseSelection((0, 3, 5), float(np.sum(self.SPECTRUM[[0, 3, 5]] ** 2)))
+
 
 class TestSparseSelection:
     @pytest.mark.parametrize(
@@ -299,6 +312,20 @@ class TestFullyQuantumSupport:
             tracemalloc.stop()
         # a dense (N, 2, k) register alone would take 512 MB here
         assert peak < 16 * op.N * 16
+
+    def test_memory_holds_only_flagged_branch(self):
+        # the spectrum, the decode spectrum and its inverse take 48 N bytes;
+        # an N-length coordinate register on top of them would cross 72 N
+        op = GTTOperator(self.U3, 14)
+        state = random_state(np.random.default_rng(26), op.N)
+        sel = top_k_indices(gtt_apply(op, state), op.N // 16)
+        tracemalloc.start()
+        try:
+            compress_fully_quantum(state, op, sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * op.N
 
 
 class TestFlagAndTransferCircuit:
