@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     GTTOperator,
+    _complex_array,
     dense_gtt_matrix,
     gtt_apply,
     gtt_element,
@@ -90,7 +91,7 @@ class SeriesExpansion:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        C = np.array(self.coefficients, dtype=np.complex128)
+        C = _complex_array(self.coefficients, "coefficients", copy=True)
         if C.shape != (self.op.N,):
             raise BadSampleCount(f"expected {self.op.N} coefficients, got shape {C.shape}")
         if not np.all(np.isfinite(C)):
@@ -119,7 +120,7 @@ def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
     exact, so samples near the float limits do not overflow on the way;
     BadShape if a coefficient itself leaves the float range.
     """
-    g = np.ascontiguousarray(samples, dtype=np.complex128)
+    g = _complex_array(samples, "samples")
     N = op.N
     if g.ndim != 1 or g.shape[0] < N or g.shape[0] % N != 0:
         raise BadSampleCount(

@@ -54,16 +54,15 @@ def _frozen(W: np.ndarray) -> np.ndarray:
     return W
 
 
-_RAGGED = "matrix entries must form a rectangular array of numbers"
-
-
-def _complex_array(entries) -> np.ndarray:
-    """``entries`` as a new complex array; BadShape if they are ragged or
-    not numbers."""
+def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a C-contiguous complex array, the one conversion of
+    caller input; BadShape if they are ragged or not numbers.  A complex
+    array that is already contiguous is returned as it is, without a copy,
+    unless ``copy`` is set."""
     try:
-        return np.array(entries, dtype=np.complex128)
+        return np.array(values, dtype=np.complex128, order="C", copy=copy or None)
     except (TypeError, ValueError):
-        raise BadShape(_RAGGED) from None
+        raise BadShape(f"{name} must form a rectangular array of numbers") from None
 
 
 def make_base_matrix(b: int, entries) -> np.ndarray:
@@ -73,7 +72,7 @@ def make_base_matrix(b: int, entries) -> np.ndarray:
     entries, NotUnitary when max|W^H W - I| exceeds 1e-10.
     """
     b = _integer(b, 2, math.inf, BadShape, "base dimension")
-    W = _complex_array(entries)
+    W = _complex_array(entries, "matrix entries", copy=True)
     if W.shape != (b, b):
         raise BadShape(f"expected a {b}x{b} matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -189,12 +188,10 @@ class GTTOperator:
     _inverse_passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            # the longest side: make_base_matrix rejects any other shape
-            b = max(np.shape(self.base), default=0)
-        except ValueError:
-            raise BadShape(_RAGGED) from None
-        base = make_base_matrix(b, self.base)
+        base = _complex_array(self.base, "matrix entries")
+        # the longest side: make_base_matrix rejects any other shape
+        b = max(base.shape, default=0)
+        base = make_base_matrix(b, base)
         object.__setattr__(self, "base", base)
         n = _integer(self.n, 1, math.inf, BadShape, "tensor power")
         # b >= 2, so b**bits already exceeds intp: cap the exponent first,
@@ -230,7 +227,7 @@ class OpCounter:
 
 def _check_vector(op: GTTOperator, x) -> np.ndarray:
     # contiguous, so a strided input cannot drop matmul off BLAS
-    x = np.ascontiguousarray(x, dtype=np.complex128)
+    x = _complex_array(x, "vector")
     if x.ndim != 1 or x.shape[0] != op.N:
         raise LengthMismatch(f"expected a length-{op.N} vector, got shape {x.shape}")
     return x

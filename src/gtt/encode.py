@@ -6,10 +6,13 @@ u3(theta, 0, pi) tensor-power basis.  The fidelity of a renormalized top-k
 truncation equals the retained top-k mass of one forward transform, so that
 mass is the objective: an evaluation builds no operator and runs no inverse
 transform.  Every search is one line search over one angle: a grid scan as
-one batched kernel call, then golden-section steps around the best grid
-point.  Hadamard and full-size DFT bases are evaluated alongside for
-comparison.  Signals, k, angles and restart seeds are validated once, where
-they enter ``encode_fidelity``, ``optimize_theta`` or ``compare_transforms``.
+one batched kernel call, then Brent's bounded minimizer (parabolic steps
+with a golden-section fallback) around the best grid point.  Hadamard and
+full-size DFT bases are evaluated alongside for comparison.  Signals, k,
+angles and restart seeds are validated once, where they enter
+``encode_fidelity``, ``optimize_theta`` or ``compare_transforms``.  Caller
+arrays go through core's one guarded conversion, so ragged or non-numeric
+ones raise BadShape.
 
 phi never changes a fidelity: u3(theta, phi, lam) = diag(1, e^{i phi})
 u3(theta, 0, lam), and a diagonal phase on the left of every factor changes
@@ -31,6 +34,7 @@ from .core import (  # noqa: F401
     TILE,
     GTTOperator,
     _apply_bases,
+    _complex_array,
     _integer,
     dft_matrix,
     u3,
@@ -41,9 +45,11 @@ from .errors import BadK, BadShape
 # encode.compress_hybrid
 from .protocols import _check_state, _normalized, compress_hybrid  # noqa: F401
 
-# golden-section ratio, and the bracket width at which refinement stops
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-8
+# golden-section fraction of Brent's fallback steps, and the refinement
+# tolerance: absolute, plus sqrt(eps) relative to the angle
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_REFINE_TOL = 1e-8
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 # coordinate cycles of the vary_all search
 _CYCLES = 3
@@ -81,9 +87,9 @@ def discretize_midpoints(f: Callable[[float], float], N: int) -> np.ndarray:
     sample finite, ZeroVector if every sample is zero."""
     N = _integer(N, 1, math.inf, BadShape, "N")
     xs = (2 * np.arange(N) + 1) / (2 * N)
-    v = np.array([f(x) for x in xs], dtype=np.complex128)
-    if not np.all(np.isfinite(v)):
-        raise BadShape("f must be finite at every midpoint")
+    v = _complex_array([f(x) for x in xs], "samples of f")
+    if v.shape != (N,) or not np.all(np.isfinite(v)):
+        raise BadShape("f must be one finite number at every midpoint")
     return _normalized(v)
 
 
@@ -94,7 +100,7 @@ def _check_signal(signal, k) -> tuple[np.ndarray, int]:
     NotNormalized unless it is finite with unit norm, BadK unless k is an
     integer in [1, N].
     """
-    signal = np.ascontiguousarray(signal, dtype=np.complex128)
+    signal = _complex_array(signal, "signal")
     N = signal.shape[0] if signal.ndim == 1 else 0
     if N < 2 or N & (N - 1):
         raise BadShape(f"signal must be a vector of length 2**n >= 2, got shape {signal.shape}")
@@ -148,10 +154,17 @@ def _line_search(signal, k, params, axis: int, lo: float, hi: float, points: int
     on [lo, hi], the other two held at ``params``; returns (angle, value,
     evaluations).
 
-    A grid of ``points`` angles runs as one evaluator call, then golden
-    steps of one angle each refine the bracket around the best grid point:
-    the objective has kinks wherever the top-k index set changes, so the
-    coarse scan locates the basin.  Values within _TIE_TOL tie: the scan
+    A grid of ``points`` angles runs as one evaluator call: the objective
+    has kinks wherever the top-k index set changes, so the coarse scan
+    locates the basin.  Then Brent's bounded minimizer (Brent 1973, ch. 5;
+    the method of scipy's ``fminbound``) refines the bracket of the best
+    grid point's two neighbours, one angle per step: a parabola through
+    the three best points where it is trusted, a golden-section step
+    where it is not.  The minima are smooth points (the top-k mass is an
+    upper envelope of smooth functions, whose kinks are never peaks), so
+    the parabolic steps converge there.  It stops once the best point is
+    within 2 * (sqrt(eps) * |angle| + _REFINE_TOL / 3) of both bracket
+    ends.  Every evaluation is counted.  Values within _TIE_TOL tie: the scan
     takes the first grid point within it of the minimum, and keeps that
     point unless the refined one beats it by more, so rounding noise on a
     flat objective (every angle at k = N) does not pick the angle.
@@ -167,23 +180,58 @@ def _line_search(signal, k, params, axis: int, lo: float, hi: float, points: int
     values = objective(grid)
     i = int(np.argmax(values <= values.min() + _TIE_TOL))
     a, b = grid[max(0, i - 1)], grid[min(points - 1, i + 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = objective((c,))[0], objective((d,))[0]
-    evals = points + 3
-    while b - a > _GOLDEN_TOL:
+    # Brent's bounded minimizer: x is the best point, w the second best, v
+    # the previous w; e is the step before last, d the last step
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = objective((x,))[0]
+    evals = points + 1
+    d = e = 0.0
+    while True:
+        m = (a + b) / 2.0
+        tol = _SQRT_EPS * abs(x) + _REFINE_TOL / 3.0
+        if abs(x - m) <= 2.0 * tol - (b - a) / 2.0:
+            break
+        golden = True
+        if abs(e) > tol:
+            # parabola through x, w and v: accept its vertex if it lies in
+            # the bracket and moves less than half the step before last
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e, last = d, e
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                    d = math.copysign(tol, m - x)
+        if golden:
+            e = (a if x >= m else b) - x
+            d = _CGOLD * e
+        step = max(abs(d), tol)
+        u = x - step if d < 0.0 else x + step
+        fu = objective((u,))[0]
         evals += 1
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective((c,))[0]
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective((d,))[0]
-    angle = (a + b) / 2.0
-    value = objective((angle,))[0]
-    if value < values[i] - _TIE_TOL:
-        return float(angle), float(value), evals
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    if fx < values[i] - _TIE_TOL:
+        return float(x), float(fx), evals
     return float(grid[i]), float(values[i]), evals
 
 

@@ -6,7 +6,9 @@ zero), renormalizes, and inverse-transforms; the fully quantum variant
 simulates the flag/transfer circuit on its flagged branch only, since both
 gates act on the flagged states alone and post-selection drops the rest, so
 after the transform it holds O(k) amplitudes.  Filtering splits the call's own
-spectrum at a natural-order cutoff into two unnormalized branches.
+spectrum at a natural-order cutoff into two unnormalized branches and
+inverse-transforms only the high one: the branches sum to the state, so the
+low branch is the difference.
 A ``SparseSelection`` checks its indices when built; consumers check only the
 bound.  ``_normalized`` is the one unit-norm scaling of every built vector.
 """
@@ -18,7 +20,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import GTTOperator, _frozen, _integer, gtt_apply, gtt_inverse_apply
+from .core import (
+    GTTOperator,
+    _complex_array,
+    _frozen,
+    _integer,
+    gtt_apply,
+    gtt_inverse_apply,
+)
 from .errors import (
     BadCutoff,
     BadK,
@@ -38,7 +47,7 @@ TIE_RTOL = 1e-12
 
 def _check_state(v, N: int, name: str = "state") -> np.ndarray:
     """``v`` as a complex vector, checked to have length N and unit norm."""
-    v = np.asarray(v, dtype=np.complex128)
+    v = _complex_array(v, name)
     if v.shape != (N,):
         raise LengthMismatch(f"{name} must be a length-{N} vector, got shape {v.shape}")
     nrm = np.linalg.norm(v)
@@ -49,7 +58,7 @@ def _check_state(v, N: int, name: str = "state") -> np.ndarray:
 
 def _normalized(values) -> np.ndarray:
     """``values`` scaled to unit norm; ZeroVector if every entry is zero."""
-    v = np.asarray(values, dtype=np.complex128)
+    v = _complex_array(values, "vector")
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(v)
     if not 0.0 < nrm < np.inf:
@@ -65,7 +74,7 @@ def _normalized(values) -> np.ndarray:
 
 
 def _check_spectrum(spectrum) -> np.ndarray:
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    spectrum = _complex_array(spectrum, "spectrum")
     if spectrum.ndim != 1:
         raise BadShape(f"spectrum must be a vector, got shape {spectrum.shape}")
     return spectrum
@@ -73,7 +82,8 @@ def _check_spectrum(spectrum) -> np.ndarray:
 
 def fidelity(a, b) -> float:
     """Squared magnitude of the inner product of two unit-norm vectors."""
-    a = _check_state(a, np.size(a), "first vector")
+    a = _complex_array(a, "first vector")
+    a = _check_state(a, a.size, "first vector")
     b = _check_state(b, a.size, "second vector")
     return float(abs(np.vdot(a, b)) ** 2)
 
@@ -105,12 +115,16 @@ class SparseSelection:
     def normalizer(self) -> float:
         return float(np.sqrt(self.mass))
 
-    def _bounded(self, N: int) -> np.ndarray:
-        """``_idx``, BadSelection unless every index, an exact int, is below N
-        (an unsigned index past intp wraps in ``_idx``)."""
-        if self.indices[-1] >= N:
-            raise BadSelection(f"indices must lie in [0, {N})")
-        return self._idx
+
+def _bounded(selection, N: int) -> np.ndarray:
+    """The selection's intp indices; BadSelection unless it is a
+    SparseSelection whose every index, an exact int, is below N (an unsigned
+    index past intp wraps in ``_idx``)."""
+    if not isinstance(selection, SparseSelection):
+        raise BadSelection(f"selection must be a SparseSelection, got {type(selection).__name__}")
+    if selection.indices[-1] >= N:
+        raise BadSelection(f"indices must lie in [0, {N})")
+    return selection._idx
 
 
 def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
@@ -127,7 +141,7 @@ def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
     # np.sort, not np.unique: the first np.unique call of a process adds
     # over 1 MB of resident memory
     selection = SparseSelection(np.sort(raw) if raw.ndim == 1 else raw, 0.0)
-    idx = selection._bounded(spectrum.shape[0])
+    idx = _bounded(selection, spectrum.shape[0])
     mass = float(np.sum(np.abs(spectrum[idx]) ** 2))
     if not np.isfinite(mass):
         raise BadShape("spectrum must be finite at the selected indices")
@@ -198,8 +212,8 @@ def reconstruct_from_classical(
     selection: SparseSelection, compressed, op: GTTOperator
 ) -> np.ndarray:
     """Scatter received amplitudes back to their spectral slots and invert."""
-    idx = selection._bounded(op.N)
-    compressed = np.asarray(compressed, dtype=np.complex128)
+    idx = _bounded(selection, op.N)
+    compressed = _complex_array(compressed, "amplitudes")
     if compressed.shape != idx.shape:
         raise LengthMismatch(
             f"expected {idx.size} amplitudes, got shape {compressed.shape}"
@@ -233,7 +247,7 @@ def compress_fully_quantum(
     statevector.
     """
     state = _check_state(state, op.N)
-    idx = selection._bounded(op.N)
+    idx = _bounded(selection, op.N)
     amp = gtt_apply(op, state)
 
     # the oracle flips the flag only on selected |y>, and the transfer maps
@@ -273,24 +287,37 @@ def filter_natural(
     Indices below the cutoff go to the low branch, the rest to the high
     branch; neither branch is renormalized, so their energies sum to one.
     ``spectrum_hook``, if given, maps the full spectrum before splitting
-    (the optional mid-circuit processing slot).
+    (the optional mid-circuit processing slot); its result must be a
+    length-N vector (LengthMismatch) of finite numbers (BadShape).
+
+    One inverse transform gives the high branch.  The two branch spectra
+    sum to the whole spectrum, so the low branch is the inverse of the
+    whole less the high branch: the state itself without a hook, and one
+    more inverse transform of the hook's spectrum with one.
     """
     state = _check_state(state, op.N)
     cutoff = _integer(cutoff, 1, op.N, BadCutoff, "cutoff")
     spectrum = gtt_apply(op, state)
+    whole = state
     if spectrum_hook is not None:
         # copied, as the caller may keep the hook's result
-        spectrum = np.array(spectrum_hook(spectrum), dtype=np.complex128)
+        spectrum = _complex_array(spectrum_hook(spectrum), "spectrum_hook's result", copy=True)
+        if spectrum.shape != (op.N,):
+            raise LengthMismatch(
+                f"spectrum_hook must return a length-{op.N} vector, got shape {spectrum.shape}"
+            )
         if not np.all(np.isfinite(spectrum)):
             raise BadShape("spectrum_hook must return finite values")
+        whole = gtt_inverse_apply(op, spectrum)
     low_spectrum = spectrum.copy()
     low_spectrum[cutoff:] = 0.0
     high_spectrum = spectrum  # this call's own array: zero its head in place
     high_spectrum[:cutoff] = 0.0
+    high_branch = gtt_inverse_apply(op, high_spectrum)
     return FilterOutput(
         cutoff=cutoff,
-        low_branch=gtt_inverse_apply(op, low_spectrum),
-        high_branch=gtt_inverse_apply(op, high_spectrum),
+        low_branch=whole - high_branch,
+        high_branch=high_branch,
         low_spectrum=low_spectrum,
         high_spectrum=high_spectrum,
     )

@@ -29,7 +29,10 @@ from gtt import (
     dft_matrix,
     discretize_midpoints,
     encode_fidelity,
+    fidelity,
     filter_natural,
+    gtt_apply,
+    gtt_inverse_apply,
     hadamard,
     make_base_matrix,
     make_selection,
@@ -129,6 +132,11 @@ def _reconstruct(indices, amplitudes):
     return reconstruct_from_classical(SparseSelection(indices, 1.0), amplitudes, OP8)
 
 
+RAGGED = [[1.0], [1.0, 2.0]]
+WORDS = ["a"] * 8
+SELECTION = SparseSelection((0, 1), 1.0)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -179,6 +187,27 @@ def _reconstruct(indices, amplitudes):
         (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[-10.0]), BadShape),
         (lambda: optimize_theta(builtin_signal("table2"), 4, restarts=[1e300]), BadShape),
         (lambda: builtin_signal("nope"), IndexOutOfRange),
+        (lambda: gtt_apply(OP8, RAGGED), BadShape),
+        (lambda: gtt_apply(OP8, WORDS), BadShape),
+        (lambda: gtt_inverse_apply(OP8, WORDS), BadShape),
+        (lambda: compress_hybrid(RAGGED, OP8, 2), BadShape),
+        (lambda: compress_fully_quantum(WORDS, OP8, SELECTION), BadShape),
+        (lambda: filter_natural(RAGGED, OP8, 2), BadShape),
+        (lambda: reconstruct_from_classical(SELECTION, ["a", "b"], OP8), BadShape),
+        (lambda: top_k_indices(RAGGED, 1), BadShape),
+        (lambda: make_selection([0], WORDS), BadShape),
+        (lambda: fidelity(RAGGED, [1.0, 0.0]), BadShape),
+        (lambda: fidelity(STATE8, WORDS), BadShape),
+        (lambda: encode_fidelity((0.5, 0.0, math.pi), RAGGED, 1), BadShape),
+        (lambda: optimize_theta(WORDS, 4), BadShape),
+        (lambda: series_coefficients(OP8, RAGGED), BadShape),
+        (lambda: SeriesExpansion(OP8, WORDS), BadShape),
+        (lambda: discretize_midpoints(lambda x: "a", 8), BadShape),
+        (lambda: discretize_midpoints(lambda x: [x, 1.0], 8), BadShape),
+        (lambda: filter_natural(STATE8, OP8, 2, lambda s: 1.0), LengthMismatch),
+        (lambda: filter_natural(STATE8, OP8, 2, lambda s: "a"), BadShape),
+        (lambda: compress_fully_quantum(STATE8, OP8, [0, 1]), BadSelection),
+        (lambda: reconstruct_from_classical([0, 1], [1.0, 0.0], OP8), BadSelection),
     ],
     ids=[
         "make_selection-float",
@@ -220,6 +249,27 @@ def _reconstruct(indices, amplitudes):
         "restarts-negative",
         "restarts-huge",
         "builtin_signal-unknown-name",
+        "gtt_apply-ragged",
+        "gtt_apply-words",
+        "gtt_inverse_apply-words",
+        "compress_hybrid-ragged",
+        "fully_quantum-words",
+        "filter_natural-ragged",
+        "reconstruct-words",
+        "top_k-ragged",
+        "make_selection-words",
+        "fidelity-ragged",
+        "fidelity-words",
+        "encode_fidelity-ragged",
+        "optimize_theta-words",
+        "series_coefficients-ragged",
+        "series_expansion-words",
+        "discretize_midpoints-words",
+        "discretize_midpoints-pairs",
+        "filter_natural-scalar-hook",
+        "filter_natural-words-hook",
+        "fully_quantum-list-selection",
+        "reconstruct-list-selection",
     ],
 )
 def test_probe_raises(call, error):

@@ -30,6 +30,7 @@ from gtt import (
     top_k_indices,
     u3,
 )
+import gtt.protocols
 from gtt.protocols import TIE_RTOL
 
 from oracles import compress_reference, flag_and_transfer, kron_power, random_unitary
@@ -448,3 +449,32 @@ class TestFilter:
         assert np.array_equal(out.low_spectrum + out.high_spectrum, held)
         assert np.array_equal(out.low_spectrum[:4], held[:4])
         assert np.array_equal(out.high_spectrum[4:], held[4:])
+
+    def test_inverse_transforms_per_call(self, monkeypatch):
+        # the branch spectra sum to the whole, so the low branch is the
+        # inverse of the whole (the state itself without a hook) less the high
+        counted = []
+        inverse = gtt.protocols.gtt_inverse_apply
+
+        def counting(op, y, counter=None):
+            counted[-1] += 1
+            return inverse(op, y, counter)
+
+        monkeypatch.setattr(gtt.protocols, "gtt_inverse_apply", counting)
+        for hook in (None, lambda s: 2 * s):
+            counted.append(0)
+            filter_natural(self.state, self.op, 4, spectrum_hook=hook)
+        assert counted == [1, 2]
+
+    def test_memory_holds_one_inverse(self):
+        # the spectrum, its low copy, the high branch and the low branch take
+        # 64 N bytes; a second inverse transform on top of them would cross 72 N
+        op = GTTOperator(u3(math.pi / 4, math.pi / 3, math.pi / 6), 14)
+        state = random_state(np.random.default_rng(28), op.N)
+        tracemalloc.start()
+        try:
+            filter_natural(state, op, op.N // 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * op.N
