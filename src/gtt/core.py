@@ -60,7 +60,9 @@ def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
     array that is already contiguous is returned as it is, without a copy,
     unless ``copy`` is set."""
     try:
-        return np.array(values, dtype=np.complex128, order="C", copy=copy or None)
+        if copy:
+            return np.array(values, dtype=np.complex128, order="C")
+        return np.asarray(values, dtype=np.complex128, order="C")
     except (TypeError, ValueError):
         raise BadShape(f"{name} must form a rectangular array of numbers") from None
 
@@ -188,8 +190,10 @@ class GTTOperator:
     _inverse_passes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # converted without a copy, so a complex array is not copied twice:
+        # make_base_matrix makes the one copy, and rejects any shape but
+        # b x b, b the longest side
         base = _complex_array(self.base, "matrix entries")
-        # the longest side: make_base_matrix rejects any other shape
         b = max(base.shape, default=0)
         base = make_base_matrix(b, base)
         object.__setattr__(self, "base", base)

@@ -45,11 +45,13 @@ NORM_TOL = 1e-9
 TIE_RTOL = 1e-12
 
 
-def _check_state(v, N: int, name: str = "state") -> np.ndarray:
-    """``v`` as a complex vector, checked to have length N and unit norm."""
+def _check_state(v, N: int | None, name: str = "state") -> np.ndarray:
+    """``v`` as a complex vector, checked to have length N (any length if
+    N is None) and unit norm."""
     v = _complex_array(v, name)
-    if v.shape != (N,):
-        raise LengthMismatch(f"{name} must be a length-{N} vector, got shape {v.shape}")
+    if v.ndim != 1 or N is not None and v.size != N:
+        length = "" if N is None else f"length-{N} "
+        raise LengthMismatch(f"{name} must be a {length}vector, got shape {v.shape}")
     nrm = np.linalg.norm(v)
     if not np.isfinite(nrm) or abs(nrm - 1.0) > NORM_TOL:
         raise NotNormalized(f"{name} must have unit norm, got {nrm!r}")
@@ -82,8 +84,7 @@ def _check_spectrum(spectrum) -> np.ndarray:
 
 def fidelity(a, b) -> float:
     """Squared magnitude of the inner product of two unit-norm vectors."""
-    a = _complex_array(a, "first vector")
-    a = _check_state(a, a.size, "first vector")
+    a = _check_state(a, None, "first vector")
     b = _check_state(b, a.size, "second vector")
     return float(abs(np.vdot(a, b)) ** 2)
 
