@@ -1,9 +1,10 @@
 """Measured arithmetic work of the fast transform against its bound.
 
-Each row of ``gtt bench`` is one size: a counted call applies one digit
-level per pass, N*b multiplies and N*(b-1) adds each, so its total is
-n*N*(2b-1), always under the 4*N*b*log_b(N) budget.  ``seconds`` is the
-median of five uncounted calls, which run the blocked kernel.
+Each row of ``gtt bench`` is one size.  Its counts are the radix-b
+algorithm's closed form, N*b multiplies and N*(b-1) adds per digit level,
+so its total is n*N*(2b-1), always under the 4*N*b*log_b(N) budget; they
+are the paper's cost model, not the multiplies BLAS performs in the blocked
+kernel.  ``seconds`` is the median of five calls of that kernel.
 """
 
 import sys

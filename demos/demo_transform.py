@@ -42,8 +42,9 @@ print("round-trip max diff:", np.max(np.abs(gtt_inverse_apply(op, gtt_apply(op, 
 print("\nG[5, 3] closed form:", gtt_element(op, 5, 3))
 print("G[5, 3] from dense: ", dense[5, 3])
 
-# The instrumented counter shows the N*b*log_b(N) work scaling; a counted
-# call runs one digit position per pass, the arithmetic it reports.
+# The counter shows the N*b*log_b(N) work scaling: it adds the radix-b
+# algorithm's closed-form arithmetic, N*b multiplies and N*(b-1) adds per
+# digit level, while the call runs the same blocked plan as any other.
 counter = OpCounter()
 big = GTTOperator(hadamard(), 16)
 gtt_apply(big, rng.standard_normal(big.N), counter)

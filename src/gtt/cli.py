@@ -277,8 +277,8 @@ def cmd_bench(args) -> int:
             if op.N > BENCH_MAX_N:
                 raise TooLarge(f"bench size b**n = {op.N} exceeds {BENCH_MAX_N}")
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
-            # counted calls run one level per pass; time uncounted calls,
-            # the blocked kernel that callers get, as the median of five
+            # the counted call is the untimed warm-up; the median of five
+            # uncounted calls is the time
             counter = OpCounter()
             gtt_apply(op, x, counter)
             times = []

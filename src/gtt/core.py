@@ -9,8 +9,8 @@ arithmetic instead of the O(N**2) dense product.  The passes are
 self-sorting: each is a single gemm that also moves its levels to the back
 of the index, so the last pass leaves the result in natural order.  Vectors
 longer than TILE elements run their low-digit passes tile by tile in cache.
-Calls that count their arithmetic run one level per pass (N * b multiplies
-per level) through the same kernel.
+Every call runs this plan; an ``OpCounter`` only adds the paper's radix-b
+cost model to it, in closed form.
 
 The kernel also takes a leading batch axis: a stack of G bases gives G
 pass stacks, and each pass is then one batched ``matmul`` over the G
@@ -54,17 +54,23 @@ def _frozen(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
-    """``values`` as a C-contiguous complex array, the one conversion of
-    caller input; BadShape if they are ragged or not numbers.  A complex
-    array that is already contiguous is returned as it is, without a copy,
-    unless ``copy`` is set."""
+def _numeric_array(values, name: str, dtype, copy: bool = False) -> np.ndarray:
+    """``values`` as a C-contiguous ``dtype`` array, the one guarded conversion
+    of caller input; BadShape if ragged, not numbers, or strings (numpy would
+    parse them).  A contiguous ``dtype`` array is returned as is unless ``copy``."""
     try:
+        a = values if isinstance(values, np.ndarray) else np.asarray(values)
+        if a.dtype.kind in "SUT":  # bytes, str, StringDType
+            raise TypeError
         if copy:
-            return np.array(values, dtype=np.complex128, order="C")
-        return np.asarray(values, dtype=np.complex128, order="C")
+            return np.array(a, dtype=dtype, order="C")
+        return np.asarray(a, dtype=dtype, order="C")
     except (TypeError, ValueError):
         raise BadShape(f"{name} must form a rectangular array of numbers") from None
+
+
+def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
+    return _numeric_array(values, name, np.complex128, copy)
 
 
 def make_base_matrix(b: int, entries) -> np.ndarray:
@@ -109,7 +115,7 @@ def u3(theta, phi, lam) -> np.ndarray:
         # scalars: the math functions cost a fraction of numpy's 0-d ufuncs
         shape, finite, cos, sin, exp = (), math.isfinite, math.cos, math.sin, cmath.exp
     else:
-        angles = [np.asarray(v, dtype=np.float64) for v in angles]
+        angles = [_numeric_array(v, "angles", np.float64) for v in angles]
         shape = np.broadcast(*angles).shape
         finite, cos, sin, exp = _all_finite, np.cos, np.sin, np.exp
     for name, v in zip(("theta", "phi", "lambda"), angles):
@@ -204,9 +210,8 @@ class GTTOperator:
         if N > np.iinfo(np.intp).max:
             raise TooLarge(f"b**n = {b}**{n} exceeds the index range")
         object.__setattr__(self, "N", int(N))
-        passes = _blocked_passes(base.T, n)
-        object.__setattr__(self, "_passes", passes)
-        object.__setattr__(self, "_inverse_passes", tuple(R.conj().T for R in passes))
+        object.__setattr__(self, "_passes", _blocked_passes(base.T, n))
+        object.__setattr__(self, "_inverse_passes", _blocked_passes(base.conj(), n))
 
     @property
     def b(self) -> int:
@@ -218,7 +223,10 @@ class GTTOperator:
 
 
 class OpCounter:
-    """Tallies multiplications and additions performed by the fast transform."""
+    """Tallies the radix-b algorithm's arithmetic, the paper's cost model:
+    each counted transform adds n * N * b multiplies and n * N * (b - 1)
+    adds in closed form.  The call runs the blocked plan like any other, so
+    these are not the multiplies BLAS performs in its b**m x b**m blocks."""
 
     def __init__(self):
         self.mults = 0
@@ -229,15 +237,18 @@ class OpCounter:
         return self.mults + self.adds
 
 
-def _check_vector(op: GTTOperator, x) -> np.ndarray:
+def _check_vector(op: GTTOperator, x, counter: OpCounter | None) -> np.ndarray:
     # contiguous, so a strided input cannot drop matmul off BLAS
     x = _complex_array(x, "vector")
     if x.ndim != 1 or x.shape[0] != op.N:
         raise LengthMismatch(f"expected a length-{op.N} vector, got shape {x.shape}")
+    if counter is not None:  # the radix-b closed form, see OpCounter
+        counter.mults += op.n * op.N * op.b
+        counter.adds += op.n * op.N * (op.b - 1)
     return x
 
 
-def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+def _fast_apply(passes, x: np.ndarray) -> np.ndarray:
     """Blocked application of the tensor product of the passes' matrices.
 
     Each pass applies a B x B matrix P (a Kronecker power of the base) to
@@ -263,14 +274,10 @@ def _fast_apply(passes, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     each writing its last pass in place into the result of those passes.
 
     The result is contiguous, in natural order, and shares no memory with
-    ``x``.  A pass costs N * B multiplies and N * (B - 1) adds.
+    ``x``.  It counts nothing: a counted call adds the radix-b closed form,
+    N * b multiplies and N * (b - 1) adds per level, not these B x B products.
     """
     N = x.shape[-1]
-    if counter is not None:
-        for R in passes:
-            B = R.shape[0]
-            counter.mults += N * B
-            counter.adds += N * (B - 1)
     if N <= TILE:
         batch = x.shape[:-1]
         for R in reversed(passes):
@@ -307,26 +314,17 @@ def _apply_bases(W: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     """
     if W.ndim == 3:
         x = np.broadcast_to(x, (W.shape[0], x.shape[-1]))
-    return _fast_apply(_blocked_passes(W.swapaxes(-1, -2), n), x, None)
-
-
-def _plan(op: GTTOperator, counter: OpCounter | None, inverse: bool) -> tuple:
-    if counter is None:
-        return op._inverse_passes if inverse else op._passes
-    # counted calls run one level per pass, the radix-b arithmetic
-    return (op.base.conj() if inverse else op.base.T,) * op.n
+    return _fast_apply(_blocked_passes(W.swapaxes(-1, -2), n), x)
 
 
 def gtt_apply(op: GTTOperator, x, counter: OpCounter | None = None) -> np.ndarray:
     """Compute y = (W tensor n) x via the fast blocked algorithm."""
-    x = _check_vector(op, x)
-    return _fast_apply(_plan(op, counter, False), x, counter)
+    return _fast_apply(op._passes, _check_vector(op, x, counter))
 
 
 def gtt_inverse_apply(op: GTTOperator, y, counter: OpCounter | None = None) -> np.ndarray:
     """Compute (W^H tensor n) y, inverting gtt_apply."""
-    y = _check_vector(op, y)
-    return _fast_apply(_plan(op, counter, True), y, counter)
+    return _fast_apply(op._inverse_passes, _check_vector(op, y, counter))
 
 
 def _check_dense_cap(N: int) -> None:

@@ -100,7 +100,10 @@ class SparseSelection:
     _idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices)
+        try:
+            idx = np.asarray(self.indices)
+        except ValueError:  # ragged nesting: a 0-d array fails the check below
+            idx = np.asarray(None)
         vector = idx.ndim == 1 and idx.size > 0 and idx.dtype.kind in "iu"
         if not (vector and idx[0] >= 0 and np.all(idx[1:] > idx[:-1])):
             raise BadSelection("indices must be non-empty, strictly increasing integers >= 0")

@@ -259,7 +259,7 @@ class TestBatchedKernel:
         rng = np.random.default_rng(b * n)
         op = GTTOperator(random_unitary(rng, b), n)
         X = rng.standard_normal((4, op.N)) + 1j * rng.standard_normal((4, op.N))
-        got = gtt.core._fast_apply(op._passes, X, None)
+        got = gtt.core._fast_apply(op._passes, X)
         for x, y in zip(X, got):
             assert np.max(np.abs(y - gtt_apply(op, x))) < 1e-12
 
@@ -374,3 +374,15 @@ class TestOpCount:
             assert c.mults == n * op.N * b
             assert c.adds == n * op.N * (b - 1)
             assert c.total <= 4 * op.N * b * n
+
+    # N = 2**12 runs untiled, 2**17 and 3**11 in cache tiles
+    @pytest.mark.parametrize("b,n", [(2, 12), (2, 17), (3, 11)])
+    def test_counted_call_is_the_call_users_get(self, b, n):
+        op = GTTOperator(u3(0.7, 0.3, 1.9) if b == 2 else dft_matrix(3), n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+        for apply in (gtt_apply, gtt_inverse_apply):
+            c = OpCounter()
+            assert np.array_equal(apply(op, x, c), apply(op, x))
+            assert c.mults == n * op.N * b
+            assert c.adds == n * op.N * (b - 1)

@@ -300,8 +300,8 @@ class TestRetainedMass:
         sizes = []
         kernel = gtt.core._fast_apply
 
-        def recorded(passes, x, counter):
-            y = kernel(passes, x, counter)
+        def recorded(passes, x):
+            y = kernel(passes, x)
             sizes.append(y.size)
             return y
 

@@ -208,6 +208,12 @@ SELECTION = SparseSelection((0, 1), 1.0)
         (lambda: filter_natural(STATE8, OP8, 2, lambda s: "a"), BadShape),
         (lambda: compress_fully_quantum(STATE8, OP8, [0, 1]), BadSelection),
         (lambda: reconstruct_from_classical([0, 1], [1.0, 0.0], OP8), BadSelection),
+        (lambda: gtt_apply(GTTOperator(hadamard(), 1), ["1", "2"]), BadShape),
+        (lambda: gtt_inverse_apply(OP8, np.array([b"1"] * 8)), BadShape),
+        (lambda: make_base_matrix(2, [["1", "0"], ["0", "1"]]), BadShape),
+        (lambda: u3("0.5", 0, 0), BadShape),
+        (lambda: u3("pi", 0, 0), BadShape),
+        (lambda: u3([0.1, [0.2, 0.3]], 0, 0), BadShape),
     ],
     ids=[
         "make_selection-float",
@@ -270,6 +276,12 @@ SELECTION = SparseSelection((0, 1), 1.0)
         "filter_natural-words-hook",
         "fully_quantum-list-selection",
         "reconstruct-list-selection",
+        "gtt_apply-numeric-strings",
+        "gtt_inverse_apply-bytes",
+        "make_base_matrix-numeric-strings",
+        "u3-numeric-string",
+        "u3-word",
+        "u3-ragged",
     ],
 )
 def test_probe_raises(call, error):

@@ -162,7 +162,7 @@ class TestMakeSelection:
 class TestSparseSelection:
     @pytest.mark.parametrize(
         "indices",
-        [(), (3, 1), (2, 2), (0.0, 1.0), (-1, 2), ((0, 1), (2, 3)), (True,), ("1",)],
+        [(), (3, 1), (2, 2), (0.0, 1.0), (-1, 2), ((0, 1), (2, 3)), (True,), ("1",), [[1], [2, 3]]],
     )
     def test_bad_indices_rejected_when_built(self, indices):
         with pytest.raises(BadSelection):
