@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (
     GTTOperator,
-    _complex_array,
+    _numeric_array,
     dense_gtt_matrix,
     gtt_apply,
     gtt_element,
@@ -47,7 +47,7 @@ def _subinterval(N: int, x) -> np.ndarray:
     index is clipped to [0, N - 1], so a point a hair below a subinterval
     boundary lands on one of the two adjacent subintervals.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _numeric_array(x, "x", np.float64, order="K")
     bad = ~((0 <= x) & (x < 1))
     if bad.any():
         raise DomainError(f"x must lie in [0, 1), got {x[bad][0]}")
@@ -61,7 +61,8 @@ def eval_basis(op: GTTOperator, j, x):
     """Evaluate the unnormalized basis function f_j at x in [0, 1).
 
     ``j`` and ``x`` broadcast against each other; a scalar pair gives a
-    complex, arrays give an array.
+    complex, arrays give an array.  Both are numbers: bool, strings, None,
+    objects, ragged nesting and a complex x (never narrowed) raise BadShape.
     """
     return gtt_element(op, _subinterval(op.N, x), j)
 
@@ -91,7 +92,7 @@ class SeriesExpansion:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        C = _complex_array(self.coefficients, "coefficients", copy=True)
+        C = _numeric_array(self.coefficients, "coefficients", np.complex128, copy=True)
         if C.shape != (self.op.N,):
             raise BadSampleCount(f"expected {self.op.N} coefficients, got shape {C.shape}")
         if not np.all(np.isfinite(C)):
@@ -120,7 +121,7 @@ def series_coefficients(op: GTTOperator, samples) -> SeriesExpansion:
     exact, so samples near the float limits do not overflow on the way;
     BadShape if a coefficient itself leaves the float range.
     """
-    g = _complex_array(samples, "samples")
+    g = _numeric_array(samples, "samples", np.complex128)
     N = op.N
     if g.ndim != 1 or g.shape[0] < N or g.shape[0] % N != 0:
         raise BadSampleCount(

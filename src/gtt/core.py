@@ -43,8 +43,8 @@ TILE = 2**16
 
 
 def _integer(value, lo: int, hi: float, error: type, name: str) -> int:
-    """``value`` as an int, raising ``error`` unless it is an integer in [lo, hi]."""
-    if not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+    """``value`` as an int; ``error`` unless an integer in [lo, hi], and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
         raise error(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
     return int(value)
 
@@ -54,23 +54,20 @@ def _frozen(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _numeric_array(values, name: str, dtype, copy: bool = False) -> np.ndarray:
-    """``values`` as a C-contiguous ``dtype`` array, the one guarded conversion
-    of caller input; BadShape if ragged, not numbers, or strings (numpy would
-    parse them).  A contiguous ``dtype`` array is returned as is unless ``copy``."""
+def _numeric_array(values, name: str, dtype=None, copy=False, order="C", error=BadShape):
+    """The one guarded conversion of caller input: ``values`` as a ``dtype``
+    array (None keeps the input's dtype) in ``order`` ("K" keeps its layout),
+    returned as is if it already conforms, unless ``copy``.  Numbers are
+    integer, float and complex dtypes: bool, strings, None, objects and ragged
+    nesting raise ``error``; complex is never narrowed: only complex128 takes it."""
     try:
         a = values if isinstance(values, np.ndarray) else np.asarray(values)
-        if a.dtype.kind in "SUT":  # bytes, str, StringDType
-            raise TypeError
-        if copy:
-            return np.array(a, dtype=dtype, order="C")
-        return np.asarray(a, dtype=dtype, order="C")
-    except (TypeError, ValueError):
-        raise BadShape(f"{name} must form a rectangular array of numbers") from None
-
-
-def _complex_array(values, name: str, copy: bool = False) -> np.ndarray:
-    return _numeric_array(values, name, np.complex128, copy)
+        kind = a.dtype.kind
+    except (TypeError, ValueError):  # ragged nesting
+        kind = "O"
+    if kind not in "iufc" or kind == "c" and dtype not in (None, np.complex128):
+        raise error(f"{name} must form a rectangular array of numbers")
+    return (np.array if copy else np.asarray)(a, dtype=dtype, order=order)
 
 
 def make_base_matrix(b: int, entries) -> np.ndarray:
@@ -80,7 +77,7 @@ def make_base_matrix(b: int, entries) -> np.ndarray:
     entries, NotUnitary when max|W^H W - I| exceeds 1e-10.
     """
     b = _integer(b, 2, math.inf, BadShape, "base dimension")
-    W = _complex_array(entries, "matrix entries", copy=True)
+    W = _numeric_array(entries, "matrix entries", np.complex128, copy=True)
     if W.shape != (b, b):
         raise BadShape(f"expected a {b}x{b} matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -108,16 +105,21 @@ def u3(theta, phi, lam) -> np.ndarray:
 
     The angles may be arrays, broadcast against each other; the result is
     then a read-only stack of shape (..., 2, 2), one matrix per angle
-    triple.  Non-finite angles raise BadShape.
+    triple.  Angles are real numbers: bool, strings, None, objects and
+    complex values (never narrowed) raise BadShape, as do non-finite
+    angles and shapes that do not broadcast.
     """
     angles = (theta, phi, lam)
-    if all(isinstance(v, (int, float)) for v in angles):
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in angles):
         # scalars: the math functions cost a fraction of numpy's 0-d ufuncs
         shape, finite, cos, sin, exp = (), math.isfinite, math.cos, math.sin, cmath.exp
     else:
         angles = [_numeric_array(v, "angles", np.float64) for v in angles]
-        shape = np.broadcast(*angles).shape
-        finite, cos, sin, exp = _all_finite, np.cos, np.sin, np.exp
+        try:
+            shape = np.broadcast(*angles).shape
+        except ValueError:
+            raise BadShape("angle shapes do not broadcast") from None
+        finite, cos, sin, exp = (lambda v: np.isfinite(v).all()), np.cos, np.sin, np.exp
     for name, v in zip(("theta", "phi", "lambda"), angles):
         if not finite(v):
             raise BadShape(f"{name} must be finite")
@@ -129,10 +131,6 @@ def u3(theta, phi, lam) -> np.ndarray:
     W[..., 1, 0] = exp(1j * p) * s
     W[..., 1, 1] = exp(1j * (p + l)) * c
     return _frozen(W)
-
-
-def _all_finite(v: np.ndarray) -> bool:
-    return bool(np.isfinite(v).all())
 
 
 def dft_matrix(b: int) -> np.ndarray:
@@ -199,7 +197,7 @@ class GTTOperator:
         # converted without a copy, so a complex array is not copied twice:
         # make_base_matrix makes the one copy, and rejects any shape but
         # b x b, b the longest side
-        base = _complex_array(self.base, "matrix entries")
+        base = _numeric_array(self.base, "matrix entries", np.complex128)
         b = max(base.shape, default=0)
         base = make_base_matrix(b, base)
         object.__setattr__(self, "base", base)
@@ -239,7 +237,7 @@ class OpCounter:
 
 def _check_vector(op: GTTOperator, x, counter: OpCounter | None) -> np.ndarray:
     # contiguous, so a strided input cannot drop matmul off BLAS
-    x = _complex_array(x, "vector")
+    x = _numeric_array(x, "vector", np.complex128)
     if x.ndim != 1 or x.shape[0] != op.N:
         raise LengthMismatch(f"expected a length-{op.N} vector, got shape {x.shape}")
     if counter is not None:  # the radix-b closed form, see OpCounter
@@ -345,30 +343,32 @@ def dense_gtt_matrix(op: GTTOperator) -> np.ndarray:
     return op.base.copy() if op.n == 1 else _kron_power(op.base, op.n)
 
 
-def _indices(N: int, i) -> np.ndarray:
-    """``i`` as intp, checked to hold only integers in [0, N)."""
-    i = np.asarray(i)
+def _index_digits(op: GTTOperator, i) -> tuple:
+    """The n base-b digits, most significant first, of indices ``i``, checked
+    to hold only integers in [0, N)."""
+    i = _numeric_array(i, "indices", order="K")
     if i.dtype.kind not in "iu":
         raise IndexOutOfRange(f"indices must be integers, got dtype {i.dtype}")
-    bad = (i < 0) | (i >= N)
+    bad = (i < 0) | (i >= op.N)
     if bad.any():
-        raise IndexOutOfRange(f"indices must lie in [0, {N}), got {i[bad][0]}")
-    return i.astype(np.intp, copy=False)
+        raise IndexOutOfRange(f"indices must lie in [0, {op.N}), got {i[bad][0]}")
+    del bad  # freed before the n digit arrays are built
+    return np.unravel_index(i.astype(np.intp, copy=False), (op.b,) * op.n)
 
 
-def _index_digits(op: GTTOperator, i) -> tuple:
-    """The n base-b digits of validated indices, most significant first."""
-    return np.unravel_index(_indices(op.N, i), (op.b,) * op.n)
-
-
-def digit_counts(op: GTTOperator, p: int, q: int) -> np.ndarray:
+def digit_counts(op: GTTOperator, p, q) -> np.ndarray:
     """b x b table counting how often digit pair (i, j) occurs in (p, q).
 
     Digits are read position by position from the base-b expansions; the
-    counts over all pairs sum to n.
+    counts over all pairs sum to n.  Index arrays broadcast against each
+    other, and the table then counts the pairs of every (p, q) they form.
     """
     b = op.b
-    pairs = np.multiply(_index_digits(op, p), b) + _index_digits(op, q)
+    rows, cols = (np.stack(_index_digits(op, i), axis=-1) for i in (p, q))
+    try:
+        pairs = rows * b + cols
+    except ValueError:  # the digits are in range, so only the shapes clash
+        raise BadShape(f"index shapes {np.shape(p)} and {np.shape(q)} do not broadcast") from None
     return np.bincount(pairs.ravel(), minlength=b * b).reshape(b, b)
 
 

@@ -11,8 +11,9 @@ with a golden-section fallback) around the best grid point.  Hadamard and
 full-size DFT bases are evaluated alongside for comparison.  Signals, k,
 angles and restart seeds are validated once, where they enter
 ``encode_fidelity``, ``optimize_theta`` or ``compare_transforms``.  Caller
-arrays go through core's one guarded conversion, so ragged or non-numeric
-ones raise BadShape.
+arrays and angles go through core's one guarded conversion, and k and N
+through its integer check: bool, strings, None, objects and ragged nesting
+are not numbers, and a complex angle is never narrowed.
 
 phi never changes a fidelity: u3(theta, phi, lam) = diag(1, e^{i phi})
 u3(theta, 0, lam), and a diagonal phase on the left of every factor changes
@@ -34,8 +35,8 @@ from .core import (  # noqa: F401
     TILE,
     GTTOperator,
     _apply_bases,
-    _complex_array,
     _integer,
+    _numeric_array,
     dft_matrix,
     u3,
 )
@@ -87,7 +88,7 @@ def discretize_midpoints(f: Callable[[float], float], N: int) -> np.ndarray:
     sample finite, ZeroVector if every sample is zero."""
     N = _integer(N, 1, math.inf, BadShape, "N")
     xs = (2 * np.arange(N) + 1) / (2 * N)
-    v = _complex_array([f(x) for x in xs], "samples of f")
+    v = _numeric_array([f(x) for x in xs], "samples of f", np.complex128)
     if v.shape != (N,) or not np.all(np.isfinite(v)):
         raise BadShape("f must be one finite number at every midpoint")
     return _normalized(v)
@@ -100,7 +101,7 @@ def _check_signal(signal, k) -> tuple[np.ndarray, int]:
     NotNormalized unless it is finite with unit norm, BadK unless k is an
     integer in [1, N].
     """
-    signal = _complex_array(signal, "signal")
+    signal = _numeric_array(signal, "signal", np.complex128)
     N = signal.shape[0] if signal.ndim == 1 else 0
     if N < 2 or N & (N - 1):
         raise BadShape(f"signal must be a vector of length 2**n >= 2, got shape {signal.shape}")
@@ -241,17 +242,14 @@ def default_restarts() -> list[float]:
 
 
 def _finite_angles(values, expected: str, size: int = 0) -> list[float]:
-    """``values`` as a list of floats; BadShape saying what was
-    ``expected`` unless it is a non-empty flat list of finite real numbers,
-    ``size`` of them when given."""
-    try:
-        angles = np.asarray(values)
-    except ValueError:  # ragged nesting
-        angles = np.asarray(None)
+    """``values`` as a list of floats; BadShape unless it is a non-empty
+    flat list of finite real numbers, ``size`` of them when given, saying
+    what was ``expected`` once the values are numbers."""
+    angles = _numeric_array(values, "angles", np.float64)
     bad_shape = angles.ndim != 1 or angles.size == 0 or size and angles.size != size
-    if angles.dtype.kind not in "iuf" or bad_shape or not np.isfinite(angles).all():
+    if bad_shape or not np.isfinite(angles).all():
         raise BadShape(f"{expected}, got {values!r}")
-    return angles.astype(np.float64).tolist()
+    return angles.tolist()
 
 
 def _check_params(params) -> U3Params:

@@ -11,20 +11,23 @@ inverse-transforms only the high one: the branches sum to the state, so the
 low branch is the difference.
 A ``SparseSelection`` checks its indices when built; consumers check only the
 bound.  ``_normalized`` is the one unit-norm scaling of every built vector.
+Caller arrays and indices go through core's one guarded conversion, k and
+cutoff through its integer check: bool, strings, None, objects and ragged
+nesting are not numbers, and complex is never narrowed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from .core import (
     GTTOperator,
-    _complex_array,
     _frozen,
     _integer,
+    _numeric_array,
     gtt_apply,
     gtt_inverse_apply,
 )
@@ -48,7 +51,7 @@ TIE_RTOL = 1e-12
 def _check_state(v, N: int | None, name: str = "state") -> np.ndarray:
     """``v`` as a complex vector, checked to have length N (any length if
     N is None) and unit norm."""
-    v = _complex_array(v, name)
+    v = _numeric_array(v, name, np.complex128)
     if v.ndim != 1 or N is not None and v.size != N:
         length = "" if N is None else f"length-{N} "
         raise LengthMismatch(f"{name} must be a {length}vector, got shape {v.shape}")
@@ -60,7 +63,7 @@ def _check_state(v, N: int | None, name: str = "state") -> np.ndarray:
 
 def _normalized(values) -> np.ndarray:
     """``values`` scaled to unit norm; ZeroVector if every entry is zero."""
-    v = _complex_array(values, "vector")
+    v = _numeric_array(values, "vector", np.complex128)
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(v)
     if not 0.0 < nrm < np.inf:
@@ -76,7 +79,7 @@ def _normalized(values) -> np.ndarray:
 
 
 def _check_spectrum(spectrum) -> np.ndarray:
-    spectrum = _complex_array(spectrum, "spectrum")
+    spectrum = _numeric_array(spectrum, "spectrum", np.complex128)
     if spectrum.ndim != 1:
         raise BadShape(f"spectrum must be a vector, got shape {spectrum.shape}")
     return spectrum
@@ -100,10 +103,7 @@ class SparseSelection:
     _idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            idx = np.asarray(self.indices)
-        except ValueError:  # ragged nesting: a 0-d array fails the check below
-            idx = np.asarray(None)
+        idx = _numeric_array(self.indices, "indices", order="K", error=BadSelection)
         vector = idx.ndim == 1 and idx.size > 0 and idx.dtype.kind in "iu"
         if not (vector and idx[0] >= 0 and np.all(idx[1:] > idx[:-1])):
             raise BadSelection("indices must be non-empty, strictly increasing integers >= 0")
@@ -138,10 +138,9 @@ def make_selection(indices: Iterable[int], spectrum) -> SparseSelection:
     set, a generator); floats raise BadSelection rather than truncate.
     """
     spectrum = _check_spectrum(spectrum)
-    try:
-        raw = indices if isinstance(indices, np.ndarray) else np.array(list(indices))
-    except (TypeError, ValueError):  # not iterable, or ragged
-        raise BadSelection("indices must be a non-empty list of integers") from None
+    if isinstance(indices, Iterable) and not isinstance(indices, np.ndarray):
+        indices = list(indices)  # numpy reads a set or a generator as one object
+    raw = _numeric_array(indices, "indices", order="K", error=BadSelection)
     # np.sort, not np.unique: the first np.unique call of a process adds
     # over 1 MB of resident memory
     selection = SparseSelection(np.sort(raw) if raw.ndim == 1 else raw, 0.0)
@@ -217,7 +216,7 @@ def reconstruct_from_classical(
 ) -> np.ndarray:
     """Scatter received amplitudes back to their spectral slots and invert."""
     idx = _bounded(selection, op.N)
-    compressed = _complex_array(compressed, "amplitudes")
+    compressed = _numeric_array(compressed, "amplitudes", np.complex128)
     if compressed.shape != idx.shape:
         raise LengthMismatch(
             f"expected {idx.size} amplitudes, got shape {compressed.shape}"
@@ -305,7 +304,8 @@ def filter_natural(
     whole = state
     if spectrum_hook is not None:
         # copied, as the caller may keep the hook's result
-        spectrum = _complex_array(spectrum_hook(spectrum), "spectrum_hook's result", copy=True)
+        spectrum = spectrum_hook(spectrum)
+        spectrum = _numeric_array(spectrum, "spectrum_hook's result", np.complex128, copy=True)
         if spectrum.shape != (op.N,):
             raise LengthMismatch(
                 f"spectrum_hook must return a length-{op.N} vector, got shape {spectrum.shape}"

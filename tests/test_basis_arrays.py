@@ -161,6 +161,20 @@ class TestElementArrays:
                 c //= 3
             assert np.array_equal(digit_counts(op, p, q), want)
 
+    def test_digit_counts_broadcast(self):
+        # three indices against n = 3 digits, where a misaligned sum would
+        # not raise
+        op = _operator(3, 3)
+        q = np.array([1, 2, 3])
+        want = sum(digit_counts(op, 7, int(j)) for j in q)
+        assert np.array_equal(digit_counts(op, 7, q), want)
+        assert np.array_equal(digit_counts(op, q, 7), want.T)
+        grid = digit_counts(op, q[:, None], q)
+        assert np.array_equal(grid, sum(digit_counts(op, int(i), q) for i in q))
+        assert grid.sum() == 9 * op.n
+        with pytest.raises(BadShape):
+            digit_counts(op, np.arange(2), np.arange(3))
+
     def test_digit_counts_bad_index(self):
         op = GTTOperator(hadamard(), 3)
         with pytest.raises(IndexOutOfRange):

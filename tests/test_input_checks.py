@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtt.core
 from gtt import (
@@ -16,6 +18,7 @@ from gtt import (
     BadK,
     BadSelection,
     BadShape,
+    GTTError,
     GTTOperator,
     IndexOutOfRange,
     LengthMismatch,
@@ -27,11 +30,14 @@ from gtt import (
     compress_fully_quantum,
     compress_hybrid,
     dft_matrix,
+    digit_counts,
     discretize_midpoints,
     encode_fidelity,
+    eval_basis,
     fidelity,
     filter_natural,
     gtt_apply,
+    gtt_element,
     gtt_inverse_apply,
     hadamard,
     make_base_matrix,
@@ -39,6 +45,7 @@ from gtt import (
     optimize_theta,
     reconstruct_from_classical,
     series_coefficients,
+    series_reconstruct,
     top_k_indices,
     u3,
 )
@@ -214,6 +221,23 @@ SELECTION = SparseSelection((0, 1), 1.0)
         (lambda: u3("0.5", 0, 0), BadShape),
         (lambda: u3("pi", 0, 0), BadShape),
         (lambda: u3([0.1, [0.2, 0.3]], 0, 0), BadShape),
+        (lambda: u3([0.1, 0.2], [1, 2, 3], 0), BadShape),
+        (lambda: u3(1j, 0, 0), BadShape),
+        (lambda: u3(True, 0, 0), BadShape),
+        (lambda: eval_basis(OP8, 1, "0.5"), BadShape),
+        (lambda: eval_basis(OP8, 1, 0.5j), BadShape),
+        (lambda: eval_basis(OP8, 1, None), BadShape),
+        (lambda: eval_basis(OP8, 1, [0.1, [0.2, 0.3]]), BadShape),
+        (lambda: series_reconstruct(series_coefficients(OP8, np.ones(8)), "0.25"), BadShape),
+        (lambda: gtt_element(OP8, [1, [2]], 0), BadShape),
+        (lambda: digit_counts(OP8, [1, [2]], 0), BadShape),
+        (lambda: top_k_indices(SPECTRUM8, True), BadK),
+        (lambda: GTTOperator(hadamard(), True), BadShape),
+        (lambda: filter_natural(STATE8, OP8, True), BadCutoff),
+        (lambda: discretize_midpoints(lambda x: 1.0, True), BadShape),
+        (lambda: gtt_apply(GTTOperator(hadamard(), 1), [True, False]), BadShape),
+        (lambda: make_base_matrix(2, [[True, False], [False, True]]), BadShape),
+        (lambda: series_coefficients(OP8, [True] * 8), BadShape),
     ],
     ids=[
         "make_selection-float",
@@ -282,6 +306,23 @@ SELECTION = SparseSelection((0, 1), 1.0)
         "u3-numeric-string",
         "u3-word",
         "u3-ragged",
+        "u3-shapes-do-not-broadcast",
+        "u3-complex",
+        "u3-bool",
+        "eval_basis-string-point",
+        "eval_basis-complex-point",
+        "eval_basis-none-point",
+        "eval_basis-ragged-points",
+        "series_reconstruct-string-point",
+        "gtt_element-ragged",
+        "digit_counts-ragged",
+        "top_k-bool-k",
+        "operator-bool-power",
+        "filter_natural-bool-cutoff",
+        "discretize_midpoints-bool-size",
+        "gtt_apply-bools",
+        "make_base_matrix-bools",
+        "series_coefficients-bools",
     ],
 )
 def test_probe_raises(call, error):
@@ -289,6 +330,75 @@ def test_probe_raises(call, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+EXPANSION8 = series_coefficients(OP8, np.ones(8))
+
+# every public entry point, one argument at a time
+ENTRY_POINTS = {
+    "gtt_apply": lambda v: gtt_apply(OP8, v),
+    "gtt_inverse_apply": lambda v: gtt_inverse_apply(OP8, v),
+    "make_base_matrix": lambda v: make_base_matrix(2, v),
+    "operator-base": lambda v: GTTOperator(v, 1),
+    "operator-power": lambda v: GTTOperator(hadamard(), v),
+    "dft_matrix": lambda v: dft_matrix(v),
+    "u3": lambda v: u3(v, 0.0, v),
+    "gtt_element": lambda v: gtt_element(OP8, v, 0),
+    "digit_counts": lambda v: digit_counts(OP8, 0, v),
+    "eval_basis-index": lambda v: eval_basis(OP8, v, 0.5),
+    "eval_basis-point": lambda v: eval_basis(OP8, 1, v),
+    "series_coefficients": lambda v: series_coefficients(OP8, v),
+    "series_expansion": lambda v: SeriesExpansion(OP8, v),
+    "series_reconstruct": lambda v: series_reconstruct(EXPANSION8, v),
+    "top_k-spectrum": lambda v: top_k_indices(v, 1),
+    "top_k-k": lambda v: top_k_indices(SPECTRUM8, v),
+    "make_selection-indices": lambda v: make_selection(v, SPECTRUM8),
+    "make_selection-spectrum": lambda v: make_selection([0], v),
+    "sparse_selection": lambda v: SparseSelection(v, 1.0),
+    "compress_hybrid-state": lambda v: compress_hybrid(v, OP8, 2),
+    "compress_hybrid-k": lambda v: compress_hybrid(STATE8, OP8, v),
+    "fully_quantum": lambda v: compress_fully_quantum(v, OP8, SELECTION),
+    "reconstruct": lambda v: reconstruct_from_classical(SELECTION, v, OP8),
+    "filter_natural-state": lambda v: filter_natural(v, OP8, 2),
+    "filter_natural-cutoff": lambda v: filter_natural(STATE8, OP8, v),
+    "filter_natural-hook": lambda v: filter_natural(STATE8, OP8, 2, lambda s: v),
+    "fidelity": lambda v: fidelity(v, STATE8),
+    "discretize_midpoints-size": lambda v: discretize_midpoints(lambda x: 1.0 + x, v),
+    "discretize_midpoints-samples": lambda v: discretize_midpoints(lambda x: v, 8),
+    "encode_fidelity-params": lambda v: encode_fidelity(v, STATE8, 2),
+    "encode_fidelity-signal": lambda v: encode_fidelity((0.5, 0.0, math.pi), v, 2),
+    "optimize_theta-k": lambda v: optimize_theta(STATE8, v, restarts=[0.5]),
+    "optimize_theta-restarts": lambda v: optimize_theta(STATE8, 2, restarts=v),
+    "compare_transforms-params": lambda v: compare_transforms(STATE8, 2, params=v),
+}
+
+# numbers mixed with values that are not numbers (bool, strings, bytes,
+# None, objects), nested to any depth, ragged or not
+LEAVES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.integers(-2, 9),
+    st.floats(-2.0, 2.0),
+    st.complex_numbers(max_magnitude=2.0),
+    st.sampled_from([np.bool_(True), np.array([b"1"]), np.array([1, None], dtype=object)]),
+)
+VALUES = st.one_of(
+    st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=8), max_leaves=16),
+    st.lists(st.booleans(), min_size=1, max_size=8).map(np.array),
+)
+
+
+@given(st.sampled_from(sorted(ENTRY_POINTS)), VALUES)
+@settings(max_examples=400, deadline=None)
+def test_only_gtt_errors_escape(entry, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ENTRY_POINTS[entry](value)
+        except GTTError:
+            pass
 
 
 ANGLES = (-1e6, -7.5, 0.0, 0.3, math.pi, 1e6)
